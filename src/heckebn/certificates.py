@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import tool_stamp
-from .numbers import format_rational, parse_rational
+from .numbers import format_rational, is_prime, parse_rational
 
 __all__ = ["SCHEMA_VERSION", "Certificate", "canonical_json_bytes", "content_hash"]
 
@@ -32,6 +32,10 @@ def canonical_json_bytes(obj) -> bytes:
 
 def content_hash(obj) -> str:
     return hashlib.sha256(canonical_json_bytes(obj)).hexdigest()
+
+
+def _expected_dimension(g0: int, k: int) -> int:
+    return 3 * g0 - 3 - k * (k + 1) // 2
 
 
 def _e61_indices(g0: int) -> list[int]:
@@ -67,23 +71,37 @@ class Certificate:
             object.__setattr__(self, "generated_by", tool_stamp())
 
     def verify(self, deep: bool = False) -> bool:
-        """Recheck the witness; deep recomputes it from the parameters alone."""
+        """Recheck the witness; deep recomputes it from the parameters alone.
+
+        Returns False, never raises, when the parameters are outside the
+        range where the criterion proves anything.
+        """
+        if self.k < 1:
+            return False
         if self.kind == "modular":
             return self._verify_modular(deep)
         return self._verify_rational(deep)
 
     def _verify_modular(self, deep: bool) -> bool:
+        g0 = self.g0
+        if g0 == 2 or not is_prime(g0) or g0 <= 2 * self.k:
+            return False
+        e = _expected_dimension(g0, self.k)
+        if e < 0:
+            return False
         if self.criterion == "e6.1":
             if self.ell != 0:
                 return False
             expected_idx = _e61_indices(self.g0)
         elif self.criterion == "e6.2":
-            if self.ell < 1:
+            if not 1 <= self.ell <= e // 2:
                 return False
             expected_idx = _e62_indices(self.g0, self.ell)
         else:
             return False
         if list(self.m_indices) != expected_idx:
+            return False
+        if len(self.m_values) != len(expected_idx):
             return False
         if self.witness_residue != sum(self.m_values) % self.g0:
             return False
@@ -101,7 +119,14 @@ class Certificate:
         return True
 
     def _verify_rational(self, deep: bool) -> bool:
-        if self.criterion != "pairing" or self.monomial is None:
+        if self.criterion != "pairing" or self.g0 < 2:
+            return False
+        mono = self.monomial
+        if mono is None or len(mono) != 4 or min(mono) < 0:
+            return False
+        a, b, c, d = mono
+        e = _expected_dimension(self.g0, self.k)
+        if e < 0 or a + 2 * b + 3 * c + d != e + 1:
             return False
         if self.witness_value is None or self.witness_value == 0:
             return False

@@ -9,7 +9,11 @@ Determinants get an engine per shape: memoized Laplace expansion along the
 sparse bottom rows for genuinely multivariate matrices, fraction-free Bareiss
 with exact polynomial division as the generic cross-check, exact
 evaluation/interpolation for univariate rational matrices, and a dense
-coefficient-vector Bareiss over F_p[x] for univariate modular matrices.
+coefficient-vector Bareiss over F_p[x] for univariate modular matrices.  The
+last divides each pivot step by one x-adic series inverse of the previous
+pivot (Newton iteration), checks every quotient by multiplying back, and
+keeps coefficients in int64 arrays while p^2 * n * max_len < 2^62 bounds
+every convolution sum, in Python-int object arrays above that.
 """
 
 from __future__ import annotations
@@ -587,7 +591,8 @@ def _interp_newton(xs: list[int], ys: list[Fraction]) -> list[Fraction]:
     return poly
 
 
-# dense univariate arithmetic over F_p, on trimmed ascending coefficient lists
+# dense univariate arithmetic over F_p, on trimmed ascending coefficient
+# arrays of one dtype (int64, or object when int64 could overflow)
 
 
 def _trim(v):
@@ -597,66 +602,57 @@ def _trim(v):
     return v[:n]
 
 
-def _mod_mul(a, b, p: int, use_numpy: bool):
+def _coeff_dtype(p: int, n: int, max_len: int):
+    """int64 when no convolution sum can reach 2^62, else Python ints.
+
+    Every entry of an n x n Bareiss run is a minor of length at most
+    n * max_len, so each convolution sums at most that many products < p^2.
+    """
+    return np.int64 if p * p * max(1, n * max_len) < 2**62 else object
+
+
+def _mod_mul(a, b, p: int):
     if not len(a) or not len(b):
         return a[:0]
-    if use_numpy:
-        return np.convolve(a, b) % p
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return out
+    return np.convolve(a, b) % p
 
 
-def _mod_sub(a, b, p: int, use_numpy: bool):
-    n = max(len(a), len(b))
-    if use_numpy:
-        out = np.zeros(n, dtype=a.dtype if len(a) else np.int64)
-        out[: len(a)] += a
-        out[: len(b)] -= b
-        return _trim(out % p)
-    out = [0] * n
-    for i, x in enumerate(a):
-        out[i] = x
-    for i, y in enumerate(b):
-        out[i] = (out[i] - y) % p
-    return _trim(out)
+def _mod_sub(a, b, p: int):
+    out = np.zeros(max(len(a), len(b)), dtype=a.dtype)
+    out[: len(a)] += a
+    out[: len(b)] -= b
+    return _trim(out % p)
 
 
-def _mod_divexact(num, den, p: int, use_numpy: bool):
-    num = _trim(num)
-    den = _trim(den)
-    if not len(den):
-        raise ZeroDivisionError("division by zero polynomial")
+def _series_inverse(f, width: int, p: int):
+    """g with f * g = 1 mod (x^width, p), by Newton iteration; needs f[0] != 0."""
+    g = np.zeros(width, dtype=f.dtype)
+    g[0] = pow(int(f[0]), -1, p)
+    m = 1
+    while m < width:
+        m = min(2 * m, width)
+        e = (-np.convolve(f[:m], g[:m])[:m]) % p
+        e[0] = (e[0] + 2) % p
+        g[:m] = np.convolve(g[:m], e)[:m] % p
+    return g
+
+
+def _mod_divexact(num, v: int, pv, inv, p: int):
+    """Exact quotient num / (x^v pv) over F_p; inv = 1/pv mod x^len(inv).
+
+    The quotient is the truncated product of num / x^v with inv; multiplying
+    it back by pv checks the division, so an inexact one raises.
+    """
     if not len(num):
         return num
-    dn = len(den) - 1
-    qd = len(num) - 1 - dn
-    if qd < 0:
+    if num[:v].any():
         raise ArithmeticError("inexact modular polynomial division")
-    inv_lead = pow(int(den[-1]), -1, p)
-    if use_numpy:
-        rem = num.astype(np.int64).copy()
-        q = np.zeros(qd + 1, dtype=np.int64)
-        for t in range(qd, -1, -1):
-            c = int(rem[t + dn]) * inv_lead % p
-            q[t] = c
-            if c:
-                rem[t : t + dn + 1] = (rem[t : t + dn + 1] - c * den) % p
-        if rem.any():
-            raise ArithmeticError("inexact modular polynomial division")
-        return q
-    rem = list(num)
-    q = [0] * (qd + 1)
-    for t in range(qd, -1, -1):
-        c = rem[t + dn] * inv_lead % p
-        q[t] = c
-        if c:
-            for i, d in enumerate(den):
-                rem[t + i] = (rem[t + i] - c * d) % p
-    if any(rem):
+    num = num[v:]
+    qlen = len(num) - len(pv) + 1
+    if qlen < 1:
+        raise ArithmeticError("inexact modular polynomial division")
+    q = np.convolve(num[:qlen], inv[:qlen])[:qlen] % p
+    if not np.array_equal(np.convolve(q, pv) % p, num):
         raise ArithmeticError("inexact modular polynomial division")
     return q
 
@@ -664,25 +660,23 @@ def _mod_divexact(num, den, p: int, use_numpy: bool):
 def det_mod_univariate(coeff_rows: list[list[list[int]]], p: int) -> list[int]:
     """Determinant over F_p[x] of a matrix given as coefficient lists.
 
-    Fraction-free Bareiss on dense coefficient vectors; intermediate products
-    stay below 2^62 for the numpy path, otherwise plain Python ints are used.
+    Fraction-free Bareiss on dense coefficient arrays.  Every division in
+    pivot step r is by the same previous pivot prev = x^v pv with pv(0) != 0,
+    so the step computes the x-adic inverse of pv once, to its widest
+    quotient, and each division is one truncated convolution checked by
+    multiplying back.  Arrays are int64 when p^2 * n * max_len < 2^62 (no
+    convolution sum can overflow) and Python-int object arrays otherwise.
     """
     n = len(coeff_rows)
     max_len = max((len(e) for row in coeff_rows for e in row), default=1)
-    use_numpy = p * p * max(1, n * max_len) < 2**62
-    if use_numpy:
-        a = [
-            [np.array(_trim([c % p for c in e]), dtype=np.int64) for e in row]
-            for row in coeff_rows
-        ]
-        zero = np.zeros(0, dtype=np.int64)
-        one = np.ones(1, dtype=np.int64)
-    else:
-        a = [[_trim([c % p for c in e]) for e in row] for row in coeff_rows]
-        zero = []
-        one = [1]
+    dtype = _coeff_dtype(p, n, max_len)
+    a = [
+        [_trim(np.array([c % p for c in e], dtype=dtype)) for e in row]
+        for row in coeff_rows
+    ]
+    zero = np.zeros(0, dtype=dtype)
     sign = 1
-    prev = one
+    prev = np.ones(1, dtype=dtype)
     for r in range(n - 1):
         if not len(a[r][r]):
             for i in range(r + 1, n):
@@ -692,16 +686,21 @@ def det_mod_univariate(coeff_rows: list[list[list[int]]], p: int) -> list[int]:
                     break
             else:
                 return [0]
-        for i in range(r + 1, n):
-            for j in range(r + 1, n):
-                num = _mod_sub(
-                    _mod_mul(a[r][r], a[i][j], p, use_numpy),
-                    _mod_mul(a[i][r], a[r][j], p, use_numpy),
-                    p,
-                    use_numpy,
+        rest = range(r + 1, n)
+        for i in rest:
+            for j in rest:
+                a[i][j] = _mod_sub(
+                    _mod_mul(a[r][r], a[i][j], p), _mod_mul(a[i][r], a[r][j], p), p
                 )
-                a[i][j] = _mod_divexact(num, prev, p, use_numpy)
             a[i][r] = zero
+        v = int(np.flatnonzero(prev)[0])
+        pv = prev[v:]
+        # each quotient is a minor of the input, so width stays in the dtype bound
+        width = max(len(a[i][j]) for i in rest for j in rest) - len(prev) + 1
+        inv = _series_inverse(pv, max(width, 1), p)
+        for i in rest:
+            for j in rest:
+                a[i][j] = _mod_divexact(a[i][j], v, pv, inv, p)
         prev = a[r][r]
     out = [int(c) % p for c in a[n - 1][n - 1]]
     if sign < 0:

@@ -152,6 +152,18 @@ def test_rational_certificate_first_witness():
     assert back == cert
 
 
+def test_verify_rejects_rational_monomial_of_wrong_degree():
+    w = rational_certificate(5, 2)
+    assert w.monomial == (1, 0, 0, 9)
+    for mono in ((1, 0, 0, 8), (1, 0, 0, 10), (1, 0, -1, 12)):
+        bad = Certificate(
+            kind="rational", k=2, g0=5, criterion="pairing",
+            monomial=mono, witness_value=w.value,
+        )
+        assert not bad.verify()
+        assert not bad.verify(deep=True)
+
+
 def test_rational_certificate_more_cases():
     w = rational_certificate(5, 2)
     assert w is not None and w.value != 0

@@ -1,5 +1,6 @@
 """Prime-field M_j computation and the two nonzero-residue criteria."""
 
+import dataclasses
 import json
 
 import pytest
@@ -177,6 +178,50 @@ def test_certificate_verify_rejects_tampering():
         "M_values_used": [str(v) for v in wrong_value],
     })
     assert not bad2.verify(deep=True)
+
+
+def test_verify_rejects_ell_beyond_half_dimension():
+    # at (k=17, g0=53) e = 3, so e6.2 allows ell = 1 only; ell = 2 reads true
+    # residues from the run but the criterion does not apply there
+    cert = certify_mod(17)
+    run = mj_mod(17, 53)
+    assert run.e == 3
+    idx = (24, 50)
+    values = tuple(run.m_at(i) for i in idx)
+    assert sum(values) % 53 != 0
+    bad = dataclasses.replace(
+        cert, ell=2, m_indices=idx, m_values=values, witness_residue=sum(values) % 53
+    )
+    assert not bad.verify()
+    assert not bad.verify(deep=True)
+
+
+def test_verify_rejects_bad_prime_without_raising():
+    composite = Certificate(
+        kind="modular", k=3, g0=9, criterion="e6.1", unit=1,
+        witness_residue=1, m_indices=(0, 4, 8), m_values=(1, 0, 0),
+    )
+    too_small = Certificate(
+        kind="modular", k=10, g0=7, criterion="e6.1", unit=1,
+        witness_residue=1, m_indices=(0, 3, 6), m_values=(1, 0, 0),
+    )
+    for cert in (composite, too_small):
+        assert not cert.verify()
+        assert not cert.verify(deep=True)
+
+
+def test_verify_rejects_values_without_indices():
+    # e6.1 sums to 0 at (17, 53); an unindexed extra value must not rescue it
+    run = mj_mod(17, 53)
+    idx = (0, 26, 52)
+    values = tuple(run.m_at(i) for i in idx)
+    assert sum(values) % 53 == 0
+    bad = Certificate(
+        kind="modular", k=17, g0=53, criterion="e6.1", unit=run.unit,
+        witness_residue=1, m_indices=idx, m_values=values + (1,),
+    )
+    assert not bad.verify()
+    assert not bad.verify(deep=True)
 
 
 def test_theorem43_gate():

@@ -5,8 +5,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from heckebn import poly
 from heckebn.errors import FieldMismatchError
 from heckebn.poly import (
     ALPHA,
@@ -153,6 +157,183 @@ def test_det_engines_agree_univariate():
         assert det_interpolate(m) == det_minor_expansion(m) == det(m)
 
 
+# Reference kernel: per-coefficient Bareiss over F_p[x] on Python lists, with
+# long division from the leading coefficient.  It shares no code with
+# poly.det_mod_univariate, which divides by an x-adic series inverse.
+
+
+def _ref_trim(v: list[int]) -> list[int]:
+    v = list(v)
+    while v and not v[-1]:
+        v.pop()
+    return v
+
+
+def _ref_mul(a: list[int], b: list[int], p: int) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+def _ref_sub(a: list[int], b: list[int], p: int) -> list[int]:
+    out = [0] * max(len(a), len(b))
+    for i, x in enumerate(a):
+        out[i] = x
+    for i, y in enumerate(b):
+        out[i] = (out[i] - y) % p
+    return _ref_trim(out)
+
+
+def _ref_divexact(num: list[int], den: list[int], p: int) -> list[int]:
+    num = _ref_trim(num)
+    den = _ref_trim(den)
+    if not den:
+        raise ZeroDivisionError("division by zero polynomial")
+    if not num:
+        return num
+    dn = len(den) - 1
+    qd = len(num) - 1 - dn
+    if qd < 0:
+        raise ArithmeticError("inexact modular polynomial division")
+    inv_lead = pow(den[-1], -1, p)
+    rem = list(num)
+    q = [0] * (qd + 1)
+    for t in range(qd, -1, -1):
+        c = rem[t + dn] * inv_lead % p
+        q[t] = c
+        if c:
+            for i, d in enumerate(den):
+                rem[t + i] = (rem[t + i] - c * d) % p
+    if any(rem):
+        raise ArithmeticError("inexact modular polynomial division")
+    return q
+
+
+def ref_det_mod(coeff_rows: list[list[list[int]]], p: int) -> list[int]:
+    n = len(coeff_rows)
+    a = [[_ref_trim([c % p for c in e]) for e in row] for row in coeff_rows]
+    sign = 1
+    prev = [1]
+    for r in range(n - 1):
+        if not a[r][r]:
+            for i in range(r + 1, n):
+                if a[i][r]:
+                    a[r], a[i] = a[i], a[r]
+                    sign = -sign
+                    break
+            else:
+                return [0]
+        for i in range(r + 1, n):
+            for j in range(r + 1, n):
+                num = _ref_sub(
+                    _ref_mul(a[r][r], a[i][j], p), _ref_mul(a[i][r], a[r][j], p), p
+                )
+                a[i][j] = _ref_divexact(num, prev, p)
+            a[i][r] = []
+        prev = a[r][r]
+    out = [c if sign > 0 else (-c) % p for c in a[n - 1][n - 1]]
+    return out if out else [0]
+
+
+def _minor_det_coeffs(coeff_rows, p: int) -> list[int]:
+    m = PolyMatrix.build(
+        [[poly_from_coeffs(e, "beta", p) for e in row] for row in coeff_rows],
+        modulus=p,
+    )
+    return _ref_trim(det_minor_expansion(m).beta_coefficients())
+
+
+PRIMES = (3, 5, 7, 101, 1009)
+
+
+@st.composite
+def mod_matrices(draw):
+    """Univariate F_p matrices, some shaped to hit the kernel's special cases."""
+    p = draw(st.sampled_from(PRIMES))
+    n = draw(st.integers(1, 5))
+    coeff = st.integers(0, p - 1)
+    rows = [
+        [draw(st.lists(coeff, max_size=4)) for _ in range(n)] for _ in range(n)
+    ]
+    if n > 1 and draw(st.booleans()):
+        # zero leading pivot: forces a row swap (or a zero first column)
+        rows[0][0] = []
+    if draw(st.booleans()):
+        # first row divisible by x, so the first pivot has prev(0) = 0
+        rows[0] = [[0] + e if e else e for e in rows[0]]
+    if n > 1 and draw(st.booleans()):
+        # last row a multiple of the first: singular
+        c = draw(coeff)
+        rows[-1] = [[c * x % p for x in e] for e in rows[0]]
+    return p, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(mod_matrices())
+def test_det_mod_matches_reference_kernels(case):
+    p, rows = case
+    got = det_mod_univariate(rows, p)
+    assert got == ref_det_mod(rows, p)
+    assert _ref_trim(got) == _minor_det_coeffs(rows, p)
+
+
+def _divide(num: list[int], den: list[int], p: int) -> list[int]:
+    """poly._mod_divexact on int64 arrays, set up as one Bareiss step does."""
+    den = np.array(den, dtype=np.int64)
+    v = int(np.flatnonzero(den)[0])
+    pv = den[v:]
+    inv = poly._series_inverse(pv, max(len(num) - len(den) + 1, 1), p)
+    return poly._mod_divexact(np.array(num, dtype=np.int64), v, pv, inv, p).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(PRIMES),
+    st.lists(st.integers(0, 1008), min_size=1, max_size=5),
+    st.lists(st.integers(0, 1008), min_size=1, max_size=5),
+    st.integers(0, 2),
+    st.lists(st.integers(0, 1008), min_size=1, max_size=5),
+)
+def test_mod_divexact_matches_reference(p, q, pv, v, rem):
+    pv = [pv[0] % (p - 1) + 1] + [c % p for c in pv[1:]]
+    pv = _ref_trim(pv)
+    q = _ref_trim([c % p for c in q])
+    rem = _ref_trim([c % p for c in rem])
+    if not q:
+        return
+    den = [0] * v + pv
+    num = _ref_mul(q, den, p)
+    inv = poly._series_inverse(np.array(pv, dtype=np.int64), 8, p)
+    assert _ref_mul(pv, inv.tolist(), p)[:8] == [1] + [0] * 7
+    assert _divide(num, den, p) == _ref_divexact(num, den, p) == q
+    # a nonzero remainder of lower degree than den: inexact for both kernels
+    if rem and len(rem) < len(den):
+        bad = _ref_sub(num, [(-c) % p for c in rem], p)
+        with pytest.raises(ArithmeticError):
+            _ref_divexact(bad, den, p)
+        with pytest.raises(ArithmeticError):
+            _divide(bad, den, p)
+
+
+def test_mod_divexact_inexact_cases():
+    p = 7
+    # low coefficient below the x-valuation of den
+    with pytest.raises(ArithmeticError):
+        _divide([1, 1, 1], [0, 1], p)
+    # num shorter than den
+    with pytest.raises(ArithmeticError):
+        _divide([1, 1], [1, 2, 3], p)
+    # x + 1 does not divide x^2 + 1 over F_7: fails the multiply-back
+    with pytest.raises(ArithmeticError):
+        _divide([1, 0, 1], [1, 1], p)
+    assert _divide([], [1, 1], p) == []
+
+
 def test_det_mod_dense_matches_minor():
     rng = random.Random(11)
     for p in (5, 11, 101):
@@ -174,14 +355,35 @@ def test_det_mod_dense_matches_minor():
 
 
 def test_det_mod_python_fallback_path():
-    # big prime pushes the engine off the numpy path
-    p = 2**31 - 1
-    rows = [
-        [poly_from_coeffs([1, 2], "beta", p), poly_from_coeffs([3], "beta", p)],
-        [poly_from_coeffs([0, 5], "beta", p), poly_from_coeffs([7, 1], "beta", p)],
+    # int64 arrays exactly while p^2 * n * max_len < 2^62, Python ints above;
+    # each case sits just below or just above that bound, with entries near p
+    below_2x2 = 2**30 - 35  # largest prime below 2^30: p^2 * 2 * 2 < 2^62
+    above_2x2 = 2**30 + 3  # smallest prime above 2^30
+    below_3x3 = 715827881  # largest prime with p^2 * 3 * 3 < 2^62
+    above_3x3 = 715827883
+    cases = [
+        (below_2x2, 2, 2, np.int64),
+        (above_2x2, 2, 2, object),
+        (below_3x3, 3, 3, np.int64),
+        (above_3x3, 3, 3, object),
+        (2**31 - 1, 2, 2, object),
     ]
-    m = PolyMatrix.build(rows, modulus=p)
-    assert det(m) == det_minor_expansion(m)
+    rng = random.Random(2**31 - 1)
+    for p, n, max_len, dtype in cases:
+        assert (p * p * n * max_len < 2**62) == (dtype is np.int64)
+        assert poly._coeff_dtype(p, n, max_len) is dtype
+        for _ in range(3):
+            rows = [
+                [
+                    poly_from_coeffs(
+                        [p - rng.randint(1, 50) for _ in range(max_len)], "beta", p
+                    )
+                    for _ in range(n)
+                ]
+                for _ in range(n)
+            ]
+            m = PolyMatrix.build(rows, modulus=p)
+            assert det(m) == det_minor_expansion(m)
 
 
 def test_det_numeric():
