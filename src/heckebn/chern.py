@@ -1,23 +1,26 @@
 """Chern class sequence of the tautological quotient on the Hecke fibration.
 
-Three exactly-matching realizations of the same sequence:
+One recurrence produces every realization of the sequence.  With c_0 = 1 and
+c_{<0} = 0, the four-term recurrence
 
-* chern_full(n): trivariate in h, beta, gamma via the four-term recurrence
-  (n+4)c_{n+4} - (beta/2)(n+2)c_{n+2} + (beta/4)^2 n c_n
-      = h c_{n+3} - (beta h/4 + gamma/2) c_{n+1},
-  with seeds c_1 = h, 2c_2 = h^2, 3c_3 = h^3/2 + (beta/4)h - gamma/2,
-  4c_4 = h^4/6 + (beta/3)h^2 - (2gamma/3)h, and c_0 = 2.
+  (n+4)c_{n+4} = h c_{n+3} + (beta/2)(n+2)c_{n+2}
+                 - (beta h/4 + gamma/2) c_{n+1} - (beta/4)^2 n c_n
 
-* chern_oracle(n): independent route, expanding
+holds for every n >= -3, so it also yields c_1 .. c_4.  `_chern_sequence`
+runs it over any coefficient ring: GradedPoly in h, beta, gamma for
+chern_full, GradedPoly in beta with h = 1, gamma = 0 for chern_tilde, and
+Fraction at a rational point for giambelli.pk_eval.  The Giambelli
+convention c_0 = 2 is applied on output.
+
+tilde_mod_coeffs(n, g) reduces chern_tilde mod an odd prime g > n: every
+denominator divides a product of integers <= n and a power of 2, so it is a
+unit mod g.
+
+chern_oracle(n) is an independent route used to cross-check the recurrence:
+it expands
   c(t) - 1 = exp(sum_{n>=0} (beta h/4 - (n/2) gamma) (beta/4)^{n-1}
              t^{2n+1}/(2n+1))
-  as a truncated power series.  Used to cross-check the recurrence.
-
-* chern_tilde(n): the h = 1, gamma = 0 specialization, directly via
-  (n+1) ct_{n+1} = ct_n + (beta/4)(n-1) ct_{n-1}, ct_0 = 2, ct_1 = 1.
-
-chern_hat(n, g) is the mod-g sequence u * ct_n with u = (g-1)! 2^{g-1} mod g,
-computed natively in F_g; it needs n < g so every denominator is a unit.
+as a truncated power series.
 """
 
 from __future__ import annotations
@@ -25,13 +28,12 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 
-from .numbers import binomial, factorial_mod, is_prime
-from .poly import BETA, GAMMA, H, GradedPoly, poly_from_coeffs
+from .numbers import binomial, is_prime
+from .poly import BETA, GAMMA, H, GradedPoly
 
 __all__ = [
     "chern_full",
     "chern_tilde",
-    "chern_hat",
     "chern_oracle",
     "beta4_closed_form",
     "tilde_mod_coeffs",
@@ -42,54 +44,46 @@ _lock = threading.Lock()
 _QUARTER = Fraction(1, 4)
 
 
-def _full_seeds() -> list[GradedPoly]:
-    c0 = GradedPoly.constant(2)
-    c1 = H
-    c2 = H**2 * Fraction(1, 2)
-    c3 = (H**3 * Fraction(1, 2) + BETA * H * _QUARTER - GAMMA * Fraction(1, 2)) * Fraction(1, 3)
-    c4 = (
-        H**4 * Fraction(1, 6) + BETA * H**2 * Fraction(1, 3) - GAMMA * H * Fraction(2, 3)
-    ) * Fraction(1, 4)
-    return [c0, c1, c2, c3, c4]
+def _chern_sequence(c: list, n: int, h, beta, gamma) -> list:
+    """Extend c = [1, c_1, ...] in place to c_0..c_n over the ring of h, beta, gamma."""
+    a2 = beta * Fraction(1, 2)
+    a3 = beta * h * _QUARTER + gamma * Fraction(1, 2)
+    a4 = beta * beta * Fraction(1, 16)
+    while len(c) <= n:
+        m = len(c)  # c_m; the terms with a negative index or factor 0 are dropped
+        acc = h * c[m - 1]
+        if m >= 3:
+            acc = acc + (a2 * (m - 2)) * c[m - 2] - a3 * c[m - 3]
+        if m >= 5:
+            acc = acc - (a4 * (m - 4)) * c[m - 4]
+        c.append(acc * Fraction(1, m))
+    return c
 
 
-_FULL: list[GradedPoly] = []
+_FULL: list[GradedPoly] = [GradedPoly.one()]
 
 
 def chern_full(n: int) -> GradedPoly:
     """n-th Chern class as a polynomial in h, beta, gamma (c_0 = 2, c_{<0} = 0)."""
     if n < 0:
         return GradedPoly.zero()
+    if n == 0:
+        return GradedPoly.constant(2)
     with _lock:
-        if not _FULL:
-            _FULL.extend(_full_seeds())
-        while len(_FULL) <= n:
-            m = len(_FULL) - 4  # recurrence index: computing c_{m+4}, m >= 1
-            rhs = (
-                H * _FULL[m + 3]
-                + BETA * _FULL[m + 2] * Fraction(m + 2, 2)
-                - (BETA * H * _QUARTER + GAMMA * Fraction(1, 2)) * _FULL[m + 1]
-                - BETA**2 * _FULL[m] * Fraction(m, 16)
-            )
-            _FULL.append(rhs * Fraction(1, m + 4))
-        return _FULL[n]
+        return _chern_sequence(_FULL, n, H, BETA, GAMMA)[n]
 
 
-_TILDE: list[GradedPoly] = []
+_TILDE: list[GradedPoly] = [GradedPoly.one()]
 
 
 def chern_tilde(n: int) -> GradedPoly:
     """The h = 1, gamma = 0 specialization, as a polynomial in beta alone."""
     if n < 0:
         return GradedPoly.zero()
+    if n == 0:
+        return GradedPoly.constant(2)
     with _lock:
-        if not _TILDE:
-            _TILDE.extend([GradedPoly.constant(2), GradedPoly.one()])
-        while len(_TILDE) <= n:
-            m = len(_TILDE) - 1  # computing ct_{m+1}, m >= 1
-            rhs = _TILDE[m] + BETA * _TILDE[m - 1] * Fraction(m - 1, 4)
-            _TILDE.append(rhs * Fraction(1, m + 1))
-        return _TILDE[n]
+        return _chern_sequence(_TILDE, n, 1, BETA, 0)[n]
 
 
 _TILDE_MOD: dict[int, list[list[int]]] = {}
@@ -102,30 +96,12 @@ def tilde_mod_coeffs(n: int, g: int) -> list[list[int]]:
     if n >= g:
         raise ValueError(f"reduced Chern index {n} needs n < g = {g}")
     with _lock:
-        seq = _TILDE_MOD.setdefault(g, [[2], [1]])
-        inv4 = pow(4, -1, g)
-        while len(seq) <= n:
-            m = len(seq) - 1
-            prev, cur = seq[m - 1], seq[m]
-            scale = (m - 1) * inv4 % g
-            shifted = [0] + [c * scale % g for c in prev]
-            acc = [0] * max(len(cur), len(shifted))
-            for i, c in enumerate(cur):
-                acc[i] = c
-            for i, c in enumerate(shifted):
-                acc[i] = (acc[i] + c) % g
-            inv = pow(m + 1, -1, g)
-            seq.append([c * inv % g for c in acc])
+        seq = _TILDE_MOD.setdefault(g, [[2]])
+        _chern_sequence(_TILDE, n, 1, BETA, 0)
+        for m in range(len(seq), n + 1):
+            coeffs = _TILDE[m].coeffs_in("beta")
+            seq.append([c.numerator * pow(c.denominator, -1, g) % g for c in coeffs])
         return [row[:] for row in seq[: n + 1]]
-
-
-def chern_hat(n: int, g: int) -> GradedPoly:
-    """(g-1)! 2^{g-1} ct_n over F_g, for 0 <= n < g with g an odd prime."""
-    if n < 0:
-        return GradedPoly.zero(g)
-    coeffs = tilde_mod_coeffs(n, g)[n]
-    u = int(factorial_mod(g - 1, g)) * pow(2, g - 1, g) % g
-    return poly_from_coeffs([c * u % g for c in coeffs], "beta", g)
 
 
 _ORACLE: list[GradedPoly] = []
@@ -175,7 +151,7 @@ def beta4_closed_form(n: int) -> Fraction:
     """Value of ct_n at beta = 4: central binomial ratio (2m)! / (4^m m!^2).
 
     For n >= 2 the odd and even neighbors agree: ct_{2m} = ct_{2m+1}.
-    n = 0 gives 2 and n = 1 gives 1 from the seeds.
+    n = 0 gives 2 (the Giambelli convention) and n = 1 gives 1.
     """
     if n < 0:
         raise ValueError("negative Chern index")

@@ -1,9 +1,11 @@
 """Giambelli determinant for the virtual class polynomial P_k and its analyses.
 
 P_k is the k x k determinant with entry(i, j) = c_{k - 2(i-1) + (j-1)}
-(1-based), where c is the Chern sequence, c_0 = 2 and c_{<0} = 0.  The three
-incarnations plug in the three Chern variants: trivariate (full), the
-beta-only specialization (beta), and the prime-field sequence (hat).
+(1-based), where c is the Chern sequence, c_0 = 2 and c_{<0} = 0.  One row
+builder, giambelli_rows, lays out that matrix for every coefficient domain:
+trivariate polynomials (variant "full"), polynomials in beta with h = 1,
+gamma = 0 (variant "beta"), rationals at a point (pk_eval), and coefficient
+lists over F_g (modular.mj_mod).
 
 Structural facts checked here: the beta = 4 closed form
 (-1)^{delta(k)} 2^{-k(k-1)/2}, the degree bound floor(k^2/4) on the beta
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import tool_stamp
-from .chern import chern_full, chern_hat, chern_tilde
+from .chern import _chern_sequence, chern_full, chern_tilde
 from .numbers import is_prime
 from .poly import GradedPoly, PolyMatrix, det, det_numeric, root_multiplicity
 
@@ -27,6 +29,7 @@ __all__ = [
     "PK_FULL_DEFAULT_LIMIT",
     "PkRecord",
     "Partition",
+    "giambelli_rows",
     "giambelli_matrix",
     "pk_full",
     "pk_beta",
@@ -99,31 +102,28 @@ class Partition:
         return tuple(p for p in self.parts if p > 0)
 
 
-def _chern_entry(n: int, variant: str, g: int | None) -> GradedPoly:
-    if variant == "full":
-        return chern_full(n)
-    if variant == "beta":
-        return chern_tilde(n)
-    if variant == "hat":
-        if g is None:
-            raise ValueError("variant 'hat' needs the prime g")
-        return chern_hat(n, g)
-    raise ValueError(f"unknown variant {variant!r}")
+def giambelli_rows(k: int, c: list, zero) -> list[list]:
+    """Rows of the k x k Giambelli matrix, entry(i, j) = c[k - 2i + j] (0-based).
 
-
-def giambelli_matrix(k: int, variant: str = "full", g: int | None = None) -> PolyMatrix:
-    """k x k matrix with entry(i, j) = c_{k - 2(i-1) + (j-1)}, 1-based."""
+    c holds c_0 .. c_{2k-1} in any coefficient domain; negative indices give
+    `zero`.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    rows = []
-    for i in range(1, k + 1):
-        rows.append(
-            tuple(
-                _chern_entry(k - 2 * (i - 1) + (j - 1), variant, g)
-                for j in range(1, k + 1)
-            )
-        )
-    return PolyMatrix(tuple(rows))
+    return [
+        [c[k - 2 * i + j] if k - 2 * i + j >= 0 else zero for j in range(k)]
+        for i in range(k)
+    ]
+
+
+def giambelli_matrix(k: int, variant: str = "full") -> PolyMatrix:
+    """k x k matrix with entry(i, j) = c_{k - 2(i-1) + (j-1)}, 1-based."""
+    chern = {"full": chern_full, "beta": chern_tilde}.get(variant)
+    if chern is None:
+        raise ValueError(f"unknown variant {variant!r}")
+    c = [chern(n) for n in range(2 * k)]
+    rows = giambelli_rows(k, c, GradedPoly.zero())
+    return PolyMatrix(tuple(tuple(row) for row in rows))
 
 
 def pk_full(k: int, store=None, force: bool = False) -> PkRecord:
@@ -174,43 +174,12 @@ def _pk_cached(k: int, variant: str, store) -> PkRecord:
     return rec
 
 
-def _chern_values_at(
-    nmax: int, h0: Fraction, beta0: Fraction, gamma0: Fraction
-) -> list[Fraction]:
-    """c_0..c_nmax at a rational point, via the recurrence on plain scalars."""
-    c = [
-        Fraction(2),
-        h0,
-        h0**2 / 2,
-        (h0**3 / 2 + beta0 * h0 / 4 - gamma0 / 2) / 3,
-        (h0**4 / 6 + beta0 * h0**2 / 3 - gamma0 * h0 * Fraction(2, 3)) / 4,
-    ]
-    while len(c) <= nmax:
-        m = len(c) - 4
-        rhs = (
-            h0 * c[m + 3]
-            + beta0 * Fraction(m + 2, 2) * c[m + 2]
-            - (beta0 * h0 / 4 + gamma0 / 2) * c[m + 1]
-            - beta0**2 * Fraction(m, 16) * c[m]
-        )
-        c.append(rhs / (m + 4))
-    return c
-
-
 def pk_eval(k: int, h0, beta0, gamma0) -> Fraction:
-    """P_k at a rational point, by numeric recurrence plus exact determinant."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    """P_k at a rational point: scalar Chern recurrence, then an exact determinant."""
     h0, beta0, gamma0 = Fraction(h0), Fraction(beta0), Fraction(gamma0)
-    c = _chern_values_at(2 * k - 1, h0, beta0, gamma0)
-
-    def entry(n: int) -> Fraction:
-        return c[n] if n >= 0 else Fraction(0)
-
-    rows = [
-        [entry(k - 2 * i + j) for j in range(k)] for i in range(k)
-    ]
-    return det_numeric(rows)
+    c = _chern_sequence([Fraction(1)], 2 * k - 1, h0, beta0, gamma0)
+    c[0] = Fraction(2)
+    return det_numeric(giambelli_rows(k, c, Fraction(0)))
 
 
 # redundant parity table guarding the delta convention for small k

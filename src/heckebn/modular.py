@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from .certificates import Certificate
 from .chern import tilde_mod_coeffs
 from .errors import InapplicablePrimeError
+from .giambelli import giambelli_rows
 from .numbers import factorial_mod, is_prime, next_prime
 from .poly import det_mod_univariate
 
@@ -97,15 +98,9 @@ def mj_mod(k: int, g: int) -> ModularRun:
             k, g, f"prime {g} does not exceed 2k = {2 * k}; the scaled class "
             "is not integral below that"
         )
-    u = int(factorial_mod(g - 1, g)) * pow(2, g - 1, g) % g
-    tilde = tilde_mod_coeffs(2 * k - 1, g)
-    hat = [[c * u % g for c in row] for row in tilde]
-
-    def entry(n: int) -> list[int]:
-        return hat[n] if n >= 0 else [0]
-
-    rows = [[entry(k - 2 * i + j) for j in range(k)] for i in range(k)]
-    coeffs = det_mod_univariate(rows, g)
+    u = factorial_mod(g - 1, g) * pow(2, g - 1, g) % g
+    hat = [[c * u % g for c in row] for row in tilde_mod_coeffs(2 * k - 1, g)]
+    coeffs = det_mod_univariate(giambelli_rows(k, hat, [0]), g)
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     if len(coeffs) - 1 > k * k // 4:

@@ -1,9 +1,9 @@
-"""Exact scalar arithmetic: rationals, primes, Bernoulli numbers, mod-p residues.
+"""Exact scalar arithmetic: rationals, primes, Bernoulli numbers, n! mod p.
 
 All arithmetic in the package is exact.  Rationals are stdlib
-fractions.Fraction; this module fixes their canonical string form, provides
-the Bernoulli table feeding the intersection-number formula, and wraps
-prime-field arithmetic in a checked ModN type.
+fractions.Fraction; this module fixes their canonical string form and
+provides the Bernoulli table feeding the intersection-number formula.
+Prime-field residues are plain ints reduced by their callers.
 
 Bernoulli convention: B_1 = -1/2 (the x/(e^x - 1) expansion).  Callers of the
 intersection-number formula never reach an odd index > 0; the lone odd value
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
@@ -26,8 +25,6 @@ __all__ = [
     "BernoulliTable",
     "bernoulli",
     "von_staudt_denominator",
-    "ModN",
-    "inv_mod",
     "factorial_mod",
 ]
 
@@ -156,66 +153,15 @@ def von_staudt_denominator(q: int) -> int:
 # prime fields
 
 
-@dataclass(frozen=True)
-class ModN:
-    """A residue in the prime field F_p; primality is checked on construction.
-
-    Package callers always use odd primes; p == 2 is accepted for generic
-    identities such as Wilson's theorem.
-    """
-
-    residue: int
-    modulus: int
-
-    def __post_init__(self) -> None:
-        if not is_prime(self.modulus):
-            raise ValueError(f"modulus {self.modulus} is not prime")
-        object.__setattr__(self, "residue", self.residue % self.modulus)
-
-    def _check(self, other: ModN) -> None:
-        if self.modulus != other.modulus:
-            raise ValueError(
-                f"modulus mismatch: {self.modulus} vs {other.modulus}"
-            )
-
-    def __add__(self, other: ModN) -> ModN:
-        self._check(other)
-        return ModN(self.residue + other.residue, self.modulus)
-
-    def __sub__(self, other: ModN) -> ModN:
-        self._check(other)
-        return ModN(self.residue - other.residue, self.modulus)
-
-    def __mul__(self, other: ModN) -> ModN:
-        self._check(other)
-        return ModN(self.residue * other.residue, self.modulus)
-
-    def __pow__(self, n: int) -> ModN:
-        return ModN(pow(self.residue, n, self.modulus), self.modulus)
-
-    def inverse(self) -> ModN:
-        if self.residue == 0:
-            raise ZeroDivisionError(f"0 has no inverse mod {self.modulus}")
-        return ModN(pow(self.residue, -1, self.modulus), self.modulus)
-
-    def __int__(self) -> int:
-        return self.residue
-
-
-def inv_mod(a: int, p: int) -> ModN:
-    """Multiplicative inverse of a in F_p."""
-    return ModN(a, p).inverse()
-
-
-def factorial_mod(n: int, p: int) -> ModN:
-    """n! in F_p (0 when n >= p)."""
+def factorial_mod(n: int, p: int) -> int:
+    """n! mod the prime p (0 when n >= p)."""
     if n < 0:
         raise ValueError("factorial of a negative integer")
     if not is_prime(p):
         raise ValueError(f"modulus {p} is not prime")
     if n >= p:
-        return ModN(0, p)
+        return 0
     acc = 1
     for i in range(2, n + 1):
         acc = acc * i % p
-    return ModN(acc, p)
+    return acc

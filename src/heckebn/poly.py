@@ -9,11 +9,11 @@ Determinants get an engine per shape: memoized Laplace expansion along the
 sparse bottom rows for genuinely multivariate matrices, fraction-free Bareiss
 with exact polynomial division as the generic cross-check, exact
 evaluation/interpolation for univariate rational matrices, and a dense
-coefficient-vector Bareiss over F_p[x] for univariate modular matrices.  The
-last divides each pivot step by one x-adic series inverse of the previous
-pivot (Newton iteration), checks every quotient by multiplying back, and
-keeps coefficients in int64 arrays while p^2 * n * max_len < 2^62 bounds
-every convolution sum, in Python-int object arrays above that.
+coefficient-vector Bareiss over F_p[x] on coefficient lists.  The last
+divides each pivot step by one x-adic series inverse of the previous pivot
+(Newton iteration), checks every quotient by multiplying back, and keeps
+coefficients in int64 arrays while p^2 * n * max_len < 2^62 bounds every
+convolution sum, in Python-int object arrays above that.
 """
 
 from __future__ import annotations
@@ -95,6 +95,22 @@ class GradedPoly:
                         del clean[mono]
         object.__setattr__(self, "coeffs", clean)
         object.__setattr__(self, "modulus", modulus)
+
+    @classmethod
+    def _trusted(cls, coeffs: dict, modulus: int | None) -> GradedPoly:
+        """Wrap an arithmetic result on canonical operands.
+
+        Skips the primality check and the re-coercion of `__init__`; still
+        reduces mod p and drops zero coefficients.
+        """
+        if modulus is None:
+            clean = {m: c for m, c in coeffs.items() if c}
+        else:
+            clean = {m: c % modulus for m, c in coeffs.items() if c % modulus}
+        out = object.__new__(cls)
+        object.__setattr__(out, "coeffs", clean)
+        object.__setattr__(out, "modulus", modulus)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("GradedPoly is immutable")
@@ -193,13 +209,13 @@ class GradedPoly:
         out = dict(self.coeffs)
         for mono, c in other.coeffs.items():
             out[mono] = out.get(mono, _zero(self.modulus)) + c
-        return GradedPoly(out, self.modulus)
+        return GradedPoly._trusted(out, self.modulus)
 
     def __radd__(self, other) -> GradedPoly:
         return self.__add__(other)
 
     def __neg__(self) -> GradedPoly:
-        return GradedPoly({m: -c for m, c in self.coeffs.items()}, self.modulus)
+        return GradedPoly._trusted({m: -c for m, c in self.coeffs.items()}, self.modulus)
 
     def __sub__(self, other) -> GradedPoly:
         return self.__add__(-self._coerce(other))
@@ -210,7 +226,7 @@ class GradedPoly:
     def __mul__(self, other) -> GradedPoly:
         if isinstance(other, (int, Fraction)):
             c = _coerce_scalar(other, self.modulus)
-            return GradedPoly(
+            return GradedPoly._trusted(
                 {m: v * c for m, v in self.coeffs.items()}, self.modulus
             )
         if not isinstance(other, GradedPoly):
@@ -221,7 +237,7 @@ class GradedPoly:
             for m2, c2 in other.coeffs.items():
                 m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3])
                 out[m] = out.get(m, _zero(self.modulus)) + c1 * c2
-        return GradedPoly(out, self.modulus)
+        return GradedPoly._trusted(out, self.modulus)
 
     def __rmul__(self, other) -> GradedPoly:
         return self.__mul__(other)
@@ -262,7 +278,7 @@ class GradedPoly:
                     c = c * (v**e if self.modulus is None else pow(v, e, self.modulus))
             rest = tuple(0 if i in idx else e for i, e in enumerate(mono))
             out[rest] = out.get(rest, _zero(self.modulus)) + c
-        return GradedPoly(out, self.modulus)
+        return GradedPoly._trusted(out, self.modulus)
 
     def evaluate(self, **values):
         """Bind every symbol that occurs and return the scalar value."""
@@ -708,27 +724,16 @@ def det_mod_univariate(coeff_rows: list[list[list[int]]], p: int) -> list[int]:
     return out if out else [0]
 
 
-def det(m: PolyMatrix, method: str = "auto") -> GradedPoly:
-    """Determinant with engine selection by matrix shape.
+def det(m: PolyMatrix) -> GradedPoly:
+    """Determinant of a rational matrix, with the engine chosen by its shape.
 
-    method: auto | minor | bareiss | interp.
+    Constant matrices go to integer Bareiss, univariate ones to
+    evaluation/interpolation, multivariate ones to minor expansion.  Matrices
+    over F_p[x] go to det_mod_univariate on coefficient lists instead.
     """
-    if method == "minor":
-        return det_minor_expansion(m)
-    if method == "bareiss":
-        return det_bareiss(m)
-    if method == "interp":
-        return det_interpolate(m)
-    if method != "auto":
-        raise ValueError(f"unknown determinant method {method!r}")
-    syms = m.symbols_used()
     if m.modulus is not None:
-        if len(syms) <= 1:
-            name = next(iter(syms)) if syms else "beta"
-            rows = [[p.coeffs_in(name) for p in row] for row in m.entries]
-            coeffs = det_mod_univariate(rows, m.modulus)
-            return poly_from_coeffs(coeffs, name, m.modulus)
-        return det_minor_expansion(m)
+        raise ValueError("det takes rational matrices; use det_mod_univariate over F_p")
+    syms = m.symbols_used()
     if not syms:
         rows = [[p.coefficient_of(_ZERO_MONO) for p in row] for row in m.entries]
         return GradedPoly.constant(det_numeric(rows))

@@ -6,15 +6,19 @@ from fractions import Fraction
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from heckebn.chern import (
+    _chern_sequence,
     beta4_closed_form,
     chern_full,
-    chern_hat,
     chern_oracle,
     chern_tilde,
     tilde_mod_coeffs,
 )
-from heckebn.poly import BETA, GAMMA, H, GradedPoly
+from heckebn.numbers import factorial_mod, is_prime
+from heckebn.poly import BETA, GAMMA, H, GradedPoly, poly_from_coeffs
 
 
 def test_full_seed_values():
@@ -112,30 +116,36 @@ def test_beta4_closed_form():
         beta4_closed_form(-1)
 
 
+def hat(n: int, g: int) -> GradedPoly:
+    """u * ct_n over F_g with u = (g-1)! 2^{g-1}, the entries mj_mod scales by."""
+    u = factorial_mod(g - 1, g) * pow(2, g - 1, g) % g
+    assert u == g - 1  # Wilson times Fermat
+    return poly_from_coeffs([c * u for c in tilde_mod_coeffs(n, g)[n]], "beta", g)
+
+
 def test_hat_values_mod_11():
-    assert chern_hat(0, 11) == GradedPoly.constant(9, modulus=11)
-    assert chern_hat(1, 11) == GradedPoly.constant(10, modulus=11)
-    assert chern_hat(3, 11) == GradedPoly.from_json_obj(
+    assert hat(0, 11) == GradedPoly.constant(9, modulus=11)
+    assert hat(1, 11) == GradedPoly.constant(10, modulus=11)
+    assert hat(3, 11) == GradedPoly.from_json_obj(
         [{"e": [0, 0, 0, 0], "c": "9"}, {"e": [0, 0, 1, 0], "c": "10"}], modulus=11
     )
 
 
 def test_hat_matches_scaled_tilde():
     for g in (11, 13, 53, 101):
-        u = g - 1  # Wilson times Fermat
         for n in range(0, g, max(1, g // 10)):
-            expected = chern_tilde(n).reduce_mod(g) * u
-            assert chern_hat(n, g) == expected, f"n={n}, g={g}"
+            expected = chern_tilde(n).reduce_mod(g) * (g - 1)
+            assert hat(n, g) == expected, f"n={n}, g={g}"
 
 
 def test_hat_preconditions():
     with pytest.raises(ValueError):
-        chern_hat(11, 11)
+        tilde_mod_coeffs(11, 11)
     with pytest.raises(ValueError):
-        chern_hat(3, 9)
+        tilde_mod_coeffs(3, 9)
     with pytest.raises(ValueError):
-        chern_hat(3, 2)
-    assert chern_hat(-1, 11).is_zero()
+        tilde_mod_coeffs(3, 2)
+    assert tilde_mod_coeffs(-1, 11) == []
 
 
 def test_tilde_mod_prefix():
@@ -148,3 +158,34 @@ def test_tilde_mod_prefix():
         pow(24, -1, 11) % 11,
         pow(80, -1, 11) % 11,
     ]
+
+
+def _trim(row: list) -> list:
+    row = list(row)
+    while len(row) > 1 and not row[-1]:
+        row.pop()
+    return row
+
+
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rationals, rationals, rationals)
+def test_scalar_sequence_matches_oracle(h0, beta0, gamma0):
+    # the Fraction sequence pk_eval builds its matrix from (c_0 = 1 there)
+    c = _chern_sequence([Fraction(1)], 20, h0, beta0, gamma0)
+    assert c[0] == 1
+    for n in range(1, 21):
+        assert c[n] == chern_oracle(n).evaluate(h=h0, beta=beta0, gamma=gamma0), n
+
+
+ODD_PRIMES = [p for p in range(3, 400) if is_prime(p)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(ODD_PRIMES), st.data())
+def test_tilde_mod_matches_oracle(g, data):
+    n = data.draw(st.integers(0, min(g, 20) - 1))
+    expected = chern_oracle(n).substitute(h=1, gamma=0).reduce_mod(g)
+    assert _trim(tilde_mod_coeffs(n, g)[n]) == _trim(expected.coeffs_in("beta"))

@@ -50,7 +50,7 @@ def test_matrix_layout():
     with pytest.raises(ValueError):
         giambelli_matrix(0)
     with pytest.raises(ValueError):
-        giambelli_matrix(3, "hat")  # needs the prime
+        giambelli_matrix(3, "hat")  # only "full" and "beta" exist
 
 
 def test_pk_full_small():

@@ -1,0 +1,63 @@
+"""Golden outputs: verdict table, Theorem 6.1 certificates and P_k(1, beta, 0).
+
+The digests are fixed: a change to any class polynomial, residue or verdict
+changes one of them.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+from heckebn.giambelli import pk_beta
+from heckebn.modular import certify_mod
+from heckebn.numbers import format_rational
+from heckebn.store import Store
+from heckebn.verdict import emit_table
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_verdict_table_digest(tmp_path):
+    table = emit_table("2..40", "1..14", store=Store(tmp_path))
+    assert sha256(table) == (
+        "56e743ceecdeecb66d1aff8fac0d7969dc2ca4e2eae9f2410b5c814247a9cf3c"
+    )
+
+
+THM61_HASHES = {
+    10: "cfd698eb9a369aefc4ce5f8d594bbd6c22552fb40b75b00f9dedc85f90de202a",
+    11: "31b0997dc49028533d6649742e1f010e6d555f962eb9b8344b56827ddf33614d",
+    12: "17028066da244bf75c86ad92f7b80db9eccb4bd67acb34e5afc44231b15b4272",
+    13: "c2fbeb248f9126a9df52d6a5eadd35a8f0f7b5b03581165694461af18639ad97",
+    14: "04fe157aa9f636626c84c8b56a0de2bc8caad9741b9b588086a46a10f38e4d84",
+    15: "3e5c7b8c74adf370d658812b3a6c17d28c360665cb8ca4e62109680cd6faa82c",
+    16: "656483801dc47c8584264685bef112a1b532f5587dda169027ad5b2fd36fd688",
+    17: "6521629e566492bb483cc20bf5f03a51c24e94304e542ea83d088e572e5a5e9d",
+    18: "d37afcb7f933179038dbef2081f672c0e7fe92c13f89c33c76ef8dffcfc93810",
+    19: "3344fadbf0700ce9abeba8a713fdb9c79a16346a489a7c5884a0dcd400e38638",
+    20: "08eb4e4b34df9735e496c218b0c48c0d9fbcf912a61eda3284cd6e1ba467c15f",
+    21: "e83af211b029e5184c242b50a3ee4114443433e731cf4216abae59c5b072f8fd",
+    22: "fc14af4e2bdf69776e5de116e8d38d08a8bb5f757af289e05f7cae8ed424d2b1",
+    23: "de9b271b0a4b62e9a36b79778499699b751fa26fc4092ef43111b5935f0140a3",
+    24: "ec926a1a70795219cfdd3462c9214c50113795123827a335a02147f35dd45846",
+}
+
+
+def test_thm61_certificate_hashes():
+    got = {k: certify_mod(k).hash() for k in THM61_HASHES}
+    assert got == THM61_HASHES
+
+
+def test_pk_beta_coefficient_digest():
+    # ascending beta-coefficients of P_k(1, beta, 0), k = 1..12, as "num/den"
+    rows = [
+        [format_rational(c) for c in pk_beta(k).polynomial.beta_coefficients()]
+        for k in range(1, 13)
+    ]
+    assert rows[2] == ["1/360", "-1/72", "1/90"]
+    assert sha256(json.dumps(rows)) == (
+        "7d252628c35e6d7845df79de143e0fe35b947f2d49ff082d33a8a2f187361323"
+    )
