@@ -7,9 +7,12 @@ geometric classes here have even cohomological degree).
 
 Determinants get an engine per shape: memoized Laplace expansion along the
 sparse bottom rows for genuinely multivariate matrices, fraction-free Bareiss
-with exact polynomial division as the generic cross-check, exact
+with exact polynomial division as the generic cross-check,
 evaluation/interpolation for univariate rational matrices, and a dense
-coefficient-vector Bareiss over F_p[x] on coefficient lists.  The last
+coefficient-vector Bareiss over F_p[x] on coefficient lists.  Interpolation
+runs in Python integers: rows scaled to integer coefficients, each distinct
+entry evaluated once per node by Horner's rule, integer Bareiss at each node,
+and Newton's forward differences over one common denominator.  The last
 divides each pivot step by one x-adic series inverse of the previous pivot
 (Newton iteration), checks every quotient by multiplying back, and keeps
 coefficients in int64 arrays while p^2 * n * max_len < 2^62 bounds every
@@ -542,17 +545,28 @@ def _det_bareiss_int(rows: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def det_numeric(rows: list[list[Fraction]]) -> Fraction:
-    """Exact determinant of a matrix of rationals (integer Bareiss inside)."""
+def det_numeric(rows: list[list[int | Fraction]]) -> Fraction:
+    """Exact determinant of a matrix of ints and Fractions (integer Bareiss inside).
+
+    Raises ValueError on an empty or non-square matrix and TypeError on any
+    other entry type: floats are never accepted.
+    """
     n = len(rows)
+    if n == 0:
+        raise ValueError("empty matrix")
     factor = 1
     int_rows = []
     for row in rows:
         if len(row) != n:
             raise ValueError("matrix is not square")
-        l = math.lcm(*(Fraction(c).denominator for c in row)) if row else 1
+        for c in row:
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(
+                    f"det_numeric takes ints and Fractions, not {type(c).__name__}"
+                )
+        l = math.lcm(*(c.denominator for c in row))
         factor *= l
-        int_rows.append([int(Fraction(c) * l) for c in row])
+        int_rows.append([c.numerator * (l // c.denominator) for c in row])
     return Fraction(_det_bareiss_int(int_rows), factor)
 
 
@@ -561,6 +575,10 @@ def det_interpolate(m: PolyMatrix, name: str | None = None) -> GradedPoly:
 
     B is the generic row-degree bound sum(max_j deg entry(i, j)); the true
     determinant degree can be smaller, which interpolation detects on its own.
+    All work is in integers: each row is scaled by the lcm of its coefficient
+    denominators, each distinct entry is evaluated once per node by Horner's
+    rule, det_numeric takes the integer matrix, and _interp_nodes turns the
+    node values into coefficients over one common denominator.
     """
     if m.modulus is not None:
         raise ValueError("interpolation path is for rational matrices")
@@ -571,40 +589,70 @@ def det_interpolate(m: PolyMatrix, name: str | None = None) -> GradedPoly:
         name = next(iter(syms)) if syms else "beta"
     elif not syms <= {name}:
         raise ValueError(f"matrix uses symbols {sorted(syms)} besides {name}")
+    var = SYMBOLS.index(name)
     bound = 0
+    denom = 1
+    distinct: dict[tuple[int, ...], int] = {}  # scaled entry -> slot
+    layout = []
     for row in m.entries:
         degs = [p.degree_in(name) for p in row]
         d = max(degs)
         if d < 0:
             return GradedPoly.zero()
         bound += d
-    xs = list(range(bound + 1))
+        l = math.lcm(*(c.denominator for p in row for c in p.coeffs.values()))
+        denom *= l
+        slots = []
+        for p, e in zip(row, degs):
+            scaled = [0] * (e + 1)
+            for mono, c in p.coeffs.items():
+                scaled[mono[var]] = c.numerator * (l // c.denominator)
+            slots.append(distinct.setdefault(tuple(scaled), len(distinct)))
+        layout.append(slots)
+    entries = list(distinct)
     ys = []
-    for x in xs:
-        rows = [[p.evaluate(**{name: x}) for p in row] for row in m.entries]
-        ys.append(det_numeric(rows))
-    return poly_from_coeffs(_interp_newton(xs, ys), name)
+    for x in range(bound + 1):
+        values = []
+        for coeffs in entries:
+            v = 0
+            for c in reversed(coeffs):
+                v = v * x + c
+            values.append(v)
+        rows = [[values[s] for s in slots] for slots in layout]
+        ys.append(det_numeric(rows).numerator)
+    return poly_from_coeffs(_interp_nodes(ys, denom), name)
 
 
-def _interp_newton(xs: list[int], ys: list[Fraction]) -> list[Fraction]:
-    n = len(xs)
-    coef = list(ys)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
-    poly = [Fraction(0)] * n
-    basis = [Fraction(1)]
-    for i in range(n):
-        for t, c in enumerate(basis):
-            poly[t] += coef[i] * c
-        nxt = [Fraction(0)] * (len(basis) + 1)
-        for t, c in enumerate(basis):
-            nxt[t] -= c * xs[i]
-            nxt[t + 1] += c
-        basis = nxt
-    while len(poly) > 1 and poly[-1] == 0:
-        poly.pop()
-    return poly
+def _interp_nodes(ys: list[int], den: int) -> list[Fraction]:
+    """Ascending coefficients of the polynomial of degree <= B = len(ys) - 1
+    whose value at x = 0..B is ys[x] / den.
+
+    Newton's forward form p(x) = sum_j (Delta^j y_0 / j!) x(x-1)...(x-j+1),
+    written over the common denominator B! * den: integer forward differences,
+    an integer Horner expansion of the falling-factorial basis, and one
+    Fraction per coefficient at the end.  Trailing zeros are dropped.
+    """
+    b = len(ys) - 1
+    diffs = list(ys)
+    lead = [diffs[0]]
+    for j in range(b):
+        diffs = [diffs[i + 1] - diffs[i] for i in range(b - j)]
+        lead.append(diffs[0])
+    # b!/j! for j = b, b-1, ..., 0 scales Delta^j y_0 / j! to the denominator b!
+    scale = 1
+    num = [lead[b]]
+    for j in range(b - 1, -1, -1):
+        scale *= j + 1
+        # num <- num * (x - j) + scale * Delta^j y_0
+        shifted = [0] + num
+        for t, c in enumerate(num):
+            shifted[t] -= j * c
+        shifted[0] += scale * lead[j]
+        num = shifted
+    total = scale * den
+    while len(num) > 1 and num[-1] == 0:
+        num.pop()
+    return [Fraction(c, total) for c in num]
 
 
 # dense univariate arithmetic over F_p, on trimmed ascending coefficient

@@ -1,15 +1,19 @@
 """Golden outputs: verdict table, Theorem 6.1 certificates and P_k(1, beta, 0).
 
 The digests are fixed: a change to any class polynomial, residue or verdict
-changes one of them.
+changes one of them.  P_k(1, beta, 0) is also checked off the interpolation
+nodes against the scalar evaluation pk_eval.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from fractions import Fraction
 
-from heckebn.giambelli import pk_beta
+import pytest
+
+from heckebn.giambelli import pk_beta, pk_eval
 from heckebn.modular import certify_mod
 from heckebn.numbers import format_rational
 from heckebn.store import Store
@@ -61,3 +65,27 @@ def test_pk_beta_coefficient_digest():
     assert sha256(json.dumps(rows)) == (
         "7d252628c35e6d7845df79de143e0fe35b947f2d49ff082d33a8a2f187361323"
     )
+
+
+def test_pk_beta_coefficient_digest_large_k():
+    # the same rows for k = 13..20
+    rows = [
+        [format_rational(c) for c in pk_beta(k).polynomial.beta_coefficients()]
+        for k in range(13, 21)
+    ]
+    assert sha256(json.dumps(rows)) == (
+        "80d8c53e21ef8264d284e042091fb9eb4e264c7d70ee63a70a16da29c8a4b8b4"
+    )
+
+
+def test_pk_beta_algorithm_strings():
+    # printed by `hecke pk --variant beta`
+    assert pk_beta(1).algorithm == "numeric"
+    assert {pk_beta(k).algorithm for k in range(2, 21)} == {"evaluate-interpolate"}
+
+
+@pytest.mark.parametrize("x", [Fraction(-1, 3), Fraction(7, 2), Fraction(1, 4)])
+def test_pk_beta_off_node_values(x):
+    # interpolation nodes are the integers 0..B; these points are not nodes
+    for k in range(1, 15):
+        assert pk_beta(k).polynomial.evaluate(beta=x) == pk_eval(k, 1, x, 0)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -155,6 +156,88 @@ def test_det_engines_agree_univariate():
         ]
         m = PolyMatrix.build(rows)
         assert det_interpolate(m) == det_minor_expansion(m) == det(m)
+
+
+# Reference interpolation path: the symbolic one det_interpolate replaced.  It
+# substitutes each node into every entry with Fraction arithmetic and runs
+# Newton's divided differences on Fractions; it shares no code with
+# poly._interp_nodes, which works on integers over one common denominator.
+
+
+def ref_interp_newton(xs: list[int], ys: list[Fraction]) -> list[Fraction]:
+    n = len(xs)
+    coef = list(ys)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
+    out = [Fraction(0)] * n
+    basis = [Fraction(1)]
+    for i in range(n):
+        for t, c in enumerate(basis):
+            out[t] += coef[i] * c
+        nxt = [Fraction(0)] * (len(basis) + 1)
+        for t, c in enumerate(basis):
+            nxt[t] -= c * xs[i]
+            nxt[t + 1] += c
+        basis = nxt
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def ref_det_interpolate(m: PolyMatrix, name: str = "beta") -> GradedPoly:
+    bound = 0
+    for row in m.entries:
+        d = max(p.degree_in(name) for p in row)
+        if d < 0:
+            return GradedPoly.zero()
+        bound += d
+    xs = list(range(bound + 1))
+    ys = [
+        det_numeric([[p.evaluate(**{name: x}) for p in row] for row in m.entries])
+        for x in xs
+    ]
+    return poly_from_coeffs(ref_interp_newton(xs, ys), name)
+
+
+rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+
+@st.composite
+def rational_univariate_matrices(draw):
+    """Univariate rational matrices, some shaped so the determinant degenerates."""
+    n = draw(st.integers(1, 4))
+    entry = st.lists(rationals, max_size=4).map(poly_from_coeffs)
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    shape = draw(st.sampled_from(["generic", "zero row", "constant row", "dependent"]))
+    r = draw(st.integers(0, n - 1))
+    if shape == "zero row":
+        rows[r] = [GradedPoly.zero()] * n
+    elif shape == "constant row":
+        rows[r] = [GradedPoly.constant(draw(rationals)) for _ in range(n)]
+    elif shape == "dependent" and n > 1:
+        # row r is a multiple of row s plus constants, so the determinant's
+        # true degree falls below the generic bound (or it vanishes)
+        s = (r + 1) % n
+        c = draw(rationals)
+        rows[r] = [a * c + draw(rationals) for a in rows[s]]
+    return PolyMatrix.build(rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_univariate_matrices())
+def test_det_interpolate_matches_reference(m):
+    got = det_interpolate(m, "beta")
+    assert got == ref_det_interpolate(m) == det_minor_expansion(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(rationals, min_size=1, max_size=12))
+def test_interp_nodes_matches_reference(ys):
+    den = math.lcm(*(y.denominator for y in ys))
+    scaled = [y.numerator * (den // y.denominator) for y in ys]
+    xs = list(range(len(ys)))
+    assert poly._interp_nodes(scaled, den) == ref_interp_newton(xs, ys)
 
 
 # Reference kernel: per-coefficient Bareiss over F_p[x] on Python lists, with
@@ -395,6 +478,19 @@ def test_det_numeric():
     rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 4), Fraction(1, 5)]]
     assert det_numeric(rows) == Fraction(1, 10) - Fraction(1, 12)
     assert det_numeric([[Fraction(0)]]) == 0
+    assert det_numeric([[2, Fraction(1, 3)], [3, 1]]) == 1
+
+
+def test_det_numeric_rejects_empty_matrix():
+    with pytest.raises(ValueError):
+        det_numeric([])
+
+
+def test_det_numeric_rejects_floats():
+    with pytest.raises(TypeError):
+        det_numeric([[0.5]])
+    with pytest.raises(TypeError):
+        det_numeric([[1, 2], [Fraction(1, 2), 0.25]])
 
 
 def test_det_singular_and_zero_column():
