@@ -10,8 +10,8 @@ sparse bottom rows for genuinely multivariate matrices, fraction-free Bareiss
 with exact polynomial division as the generic cross-check,
 evaluation/interpolation for univariate rational matrices, and a dense
 coefficient-vector Bareiss over F_p[x] on coefficient lists.  Interpolation
-runs in Python integers: rows scaled to integer coefficients, each distinct
-entry evaluated once per node by Horner's rule, integer Bareiss at each node,
+runs in Python integers: rows scaled to integer coefficients, every entry
+evaluated at each node by Horner's rule, integer Bareiss at each node,
 and Newton's forward differences over one common denominator.  The last
 divides each pivot step by one x-adic series inverse of the previous pivot
 (Newton iteration), checks every quotient by multiplying back, and keeps
@@ -576,9 +576,9 @@ def det_interpolate(m: PolyMatrix, name: str | None = None) -> GradedPoly:
     B is the generic row-degree bound sum(max_j deg entry(i, j)); the true
     determinant degree can be smaller, which interpolation detects on its own.
     All work is in integers: each row is scaled by the lcm of its coefficient
-    denominators, each distinct entry is evaluated once per node by Horner's
-    rule, det_numeric takes the integer matrix, and _interp_nodes turns the
-    node values into coefficients over one common denominator.
+    denominators, every entry is evaluated at each node by Horner's rule,
+    det_numeric takes the integer matrix, and _interp_nodes turns the node
+    values into coefficients over one common denominator.
     """
     if m.modulus is not None:
         raise ValueError("interpolation path is for rational matrices")
@@ -589,38 +589,31 @@ def det_interpolate(m: PolyMatrix, name: str | None = None) -> GradedPoly:
         name = next(iter(syms)) if syms else "beta"
     elif not syms <= {name}:
         raise ValueError(f"matrix uses symbols {sorted(syms)} besides {name}")
-    var = SYMBOLS.index(name)
     bound = 0
     denom = 1
-    distinct: dict[tuple[int, ...], int] = {}  # scaled entry -> slot
-    layout = []
+    scaled_rows = []
     for row in m.entries:
-        degs = [p.degree_in(name) for p in row]
-        d = max(degs)
+        d = max(p.degree_in(name) for p in row)
         if d < 0:
             return GradedPoly.zero()
         bound += d
         l = math.lcm(*(c.denominator for p in row for c in p.coeffs.values()))
         denom *= l
-        slots = []
-        for p, e in zip(row, degs):
-            scaled = [0] * (e + 1)
-            for mono, c in p.coeffs.items():
-                scaled[mono[var]] = c.numerator * (l // c.denominator)
-            slots.append(distinct.setdefault(tuple(scaled), len(distinct)))
-        layout.append(slots)
-    entries = list(distinct)
+        scaled_rows.append(
+            [[c.numerator * (l // c.denominator) for c in p.coeffs_in(name)] for p in row]
+        )
     ys = []
     for x in range(bound + 1):
-        values = []
-        for coeffs in entries:
-            v = 0
-            for c in reversed(coeffs):
-                v = v * x + c
-            values.append(v)
-        rows = [[values[s] for s in slots] for slots in layout]
+        rows = [[_horner(e, x) for e in row] for row in scaled_rows]
         ys.append(det_numeric(rows).numerator)
     return poly_from_coeffs(_interp_nodes(ys, denom), name)
+
+
+def _horner(coeffs: list[int], x: int) -> int:
+    v = 0
+    for c in reversed(coeffs):
+        v = v * x + c
+    return v
 
 
 def _interp_nodes(ys: list[int], den: int) -> list[Fraction]:
