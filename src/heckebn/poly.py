@@ -786,24 +786,33 @@ def det(m: PolyMatrix) -> GradedPoly:
 def root_multiplicity(p: GradedPoly, root: Fraction | int, name: str = "beta") -> int:
     """Multiplicity of `root` in a univariate rational polynomial.
 
-    Repeated exact synthetic division; the zero polynomial is rejected.
+    The coefficients are scaled once to integers.  For root = a/b in lowest
+    terms, (b*x - a) is primitive, so by Gauss's lemma it divides an integer
+    polynomial over Q only if the quotient is integral: the synthetic division
+    runs in integers, and an inexact step means the root is not there.  The
+    zero polynomial is rejected.
     """
     if p.modulus is not None:
         raise ValueError("root multiplicity is computed over the rationals")
     if p.is_zero():
         raise ValueError("zero polynomial has no well-defined root multiplicity")
-    coeffs = [Fraction(c) for c in p.coeffs_in(name)]
+    coeffs = p.coeffs_in(name)
+    l = math.lcm(*(c.denominator for c in coeffs))
+    f = [c.numerator * (l // c.denominator) for c in coeffs]
     root = Fraction(root)
+    a, b = root.numerator, root.denominator
     mult = 0
     while True:
-        # Horner evaluation, keeping the quotient coefficients as we go.
-        quo: list[Fraction] = []
-        acc = Fraction(0)
-        for c in reversed(coeffs):
-            acc = acc * root + c
-            quo.append(acc)
-        if acc != 0:
+        # f = (b*x - a) * q from the top down: q_{i-1} = (f_i + a*q_i) / b
+        quo = []
+        q = 0
+        for c in reversed(f[1:]):
+            q, r = divmod(c + a * q, b)
+            if r:
+                return mult
+            quo.append(q)
+        if f[0] + a * q:
             return mult
         quo.reverse()
-        coeffs = quo[1:]
+        f = quo
         mult += 1

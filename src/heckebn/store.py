@@ -2,27 +2,34 @@
 
 Layout under the root directory:
 
-  index.json        logical key -> content hash
   <sha256>.json     one record per file, canonical JSON
+  refs/<key>        the sha256 of one logical key's record; the key
+                    ``cert:modular:8:53`` is the file ``cert@modular@8@53``
 
-Records are immutable: the file name is the hash of its bytes, so a key
-update never rewrites an existing blob.  Writes go through a temp file and
-os.replace, which keeps a reader from ever seeing a partial file.  Records
-stamped by a different tool version are ignored on read and recomputed.
+Records are immutable: a blob's name is the hash of its bytes.  Each file is
+written through a temp file and os.replace, so readers never see a partial
+file and writers of different keys never share one.  A ref counts only if it
+is 64 lowercase hex digits naming a blob whose bytes hash to it and whose
+record is for that key.  Records of another tool version, and an
+``index.json`` of earlier versions, are ignored.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import re
 import tempfile
 from pathlib import Path
 
 from . import tool_stamp
-from .certificates import Certificate, canonical_json_bytes, content_hash
+from .certificates import Certificate, canonical_json_bytes
 from .giambelli import PkRecord
 
 __all__ = ["Store", "default_cache_dir"]
+
+_DIGEST = re.compile(rb"[0-9a-f]{64}")
 
 
 def default_cache_dir() -> Path:
@@ -35,19 +42,11 @@ class Store:
 
     def __init__(self, root: str | os.PathLike | None = None):
         self.root = Path(root) if root is not None else default_cache_dir()
-        self.root.mkdir(parents=True, exist_ok=True)
-        self._index_path = self.root / "index.json"
-
-    def _load_index(self) -> dict[str, str]:
-        try:
-            with open(self._index_path, encoding="utf-8") as fh:
-                obj = json.load(fh)
-        except (FileNotFoundError, json.JSONDecodeError):
-            return {}
-        return obj if isinstance(obj, dict) else {}
+        self._refs = self.root / "refs"
+        self._refs.mkdir(parents=True, exist_ok=True)
 
     def _write_atomic(self, path: Path, data: bytes) -> None:
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as fh:
                 fh.write(data)
@@ -59,41 +58,45 @@ class Store:
                 pass
             raise
 
+    def _ref_path(self, key: str) -> Path:
+        return self._refs / key.replace(":", "@")
+
+    def _read_ref(self, ref: Path) -> str | None:
+        try:
+            data = ref.read_bytes()
+        except FileNotFoundError:
+            return None
+        # anything but a bare digest could name a path outside the store
+        return data.decode("ascii") if _DIGEST.fullmatch(data) else None
+
     def _put_obj(self, key: str, obj: dict) -> str:
         data = canonical_json_bytes(obj)
-        digest = content_hash(obj)
-        blob = self.root / f"{digest}.json"
+        digest = hashlib.sha256(data).hexdigest()
+        blob = self.path_for(digest)
         if not blob.exists():
             self._write_atomic(blob, data)
-        index = self._load_index()
-        if index.get(key) != digest:
-            index[key] = digest
-            self._write_atomic(self._index_path, canonical_json_bytes(index))
+        ref = self._ref_path(key)
+        if self._read_ref(ref) != digest:
+            self._write_atomic(ref, digest.encode("ascii"))
         return digest
 
     def _get_obj(self, key: str) -> dict | None:
-        digest = self._load_index().get(key)
+        digest = self._read_ref(self._ref_path(key))
         if digest is None:
             return None
         try:
-            with open(self.root / f"{digest}.json", "rb") as fh:
-                data = fh.read()
-        except FileNotFoundError:
+            data = self.path_for(digest).read_bytes()
+            obj = json.loads(data) if hashlib.sha256(data).hexdigest() == digest else None
+        except (FileNotFoundError, ValueError):
             return None
-        try:
-            obj = json.loads(data)
-        except json.JSONDecodeError:
-            return None
-        if not isinstance(obj, dict) or content_hash(obj) != digest:
-            return None
-        return obj
+        return obj if isinstance(obj, dict) else None
 
     @staticmethod
     def _pk_key(k: int, variant: str) -> str:
         return f"pk:{variant}:{k}"
 
     @staticmethod
-    def _cert_key(kind: str, k: int, g0: int) -> str:
+    def _cert_key(kind: str, k: int, g0: int | str) -> str:
         return f"cert:{kind}:{k}:{g0}"
 
     def put_pk_record(self, rec: PkRecord) -> str:
@@ -107,7 +110,7 @@ class Store:
             rec = PkRecord.from_json_obj(obj)
         except (KeyError, ValueError, TypeError):
             return None
-        if rec.version != tool_stamp():
+        if rec.version != tool_stamp() or (rec.k, rec.variant) != (k, variant):
             return None
         return rec
 
@@ -124,20 +127,16 @@ class Store:
             cert = Certificate.from_json_obj(obj)
         except (KeyError, ValueError, TypeError):
             return None
-        if cert.generated_by != tool_stamp():
+        if cert.generated_by != tool_stamp() or (cert.kind, cert.k, cert.g0) != (kind, k, g0):
             return None
         return cert
 
     def certificates_for(self, kind: str, k: int) -> list[Certificate]:
         """All stored certificates of one kind for one k, ordered by prime."""
-        prefix = f"cert:{kind}:{k}:"
-        out = []
-        for key in self._load_index():
-            if key.startswith(prefix):
-                cert = self.get_certificate(kind, k, int(key.rsplit(":", 1)[1]))
-                if cert is not None:
-                    out.append(cert)
-        return sorted(out, key=lambda c: c.g0)
+        prefix = self._ref_path(self._cert_key(kind, k, "")).name
+        primes = (r.name[len(prefix):] for r in self._refs.iterdir() if r.name.startswith(prefix))
+        certs = [self.get_certificate(kind, k, int(g0)) for g0 in primes if g0.isdigit()]
+        return sorted((c for c in certs if c is not None), key=lambda c: c.g0)
 
     def path_for(self, digest: str) -> Path:
         return self.root / f"{digest}.json"

@@ -6,6 +6,7 @@ import pytest
 
 from heckebn import suites
 from heckebn.cli import main
+from heckebn.store import Store
 from heckebn.suites import SuiteCheck, SuiteReport
 
 
@@ -68,8 +69,8 @@ def test_mod_cert(capsys, isolated_cache):
     obj = json.loads(out)
     assert obj["criterion"] == "e6.1"
     assert obj["witness_residue"] == "4"
-    cache = isolated_cache / "cache"
-    assert (cache / "index.json").exists()
+    cert = Store(isolated_cache / "cache").get_certificate("modular", 3, 11)
+    assert cert is not None and cert.to_json_obj() == obj
 
 
 def test_mod_cert_inapplicable(capsys):

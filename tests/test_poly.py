@@ -515,6 +515,49 @@ def test_root_multiplicity():
         root_multiplicity(H * BETA, 1)
 
 
+# Reference: the Fraction loop root_multiplicity replaced, one Horner pass per
+# factor removed.  It shares no code with the integer synthetic division by
+# (b*x - a) in poly.root_multiplicity.
+
+
+def ref_root_multiplicity(p: GradedPoly, root, name: str = "beta") -> int:
+    coeffs = [Fraction(c) for c in p.coeffs_in(name)]
+    root = Fraction(root)
+    mult = 0
+    while True:
+        quo = []
+        acc = Fraction(0)
+        for c in reversed(coeffs):
+            acc = acc * root + c
+            quo.append(acc)
+        if acc != 0:
+            return mult
+        quo.reverse()
+        coeffs = quo[1:]
+        mult += 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(0, 3), min_size=1, max_size=5),
+    st.lists(rationals, min_size=1, max_size=5).filter(any),
+    rationals.filter(bool),
+    rationals,
+)
+def test_root_multiplicity_matches_reference(mults, cofactor, scale, other):
+    """scale * cofactor * prod_i (i^2 beta - 1)^m_i has multiplicity m_i plus
+    the cofactor's at each 1/i^2."""
+    base = poly_from_coeffs(cofactor)
+    p = base * scale
+    for i, m in enumerate(mults, start=1):
+        p = p * (i * i * BETA - 1) ** m
+    for i in range(1, len(mults) + 3):
+        root = Fraction(1, i * i)
+        want = (mults[i - 1] if i <= len(mults) else 0) + ref_root_multiplicity(base, root)
+        assert root_multiplicity(p, root) == ref_root_multiplicity(p, root) == want
+    assert root_multiplicity(p, other) == ref_root_multiplicity(p, other)
+
+
 def test_coeff_lists():
     q = Fraction(1, 360) - BETA * Fraction(1, 72) + BETA**2 * Fraction(1, 90)
     assert q.beta_coefficients() == [

@@ -1,9 +1,15 @@
 """Decision engine, exception rows, level filtering, store, and tables."""
 
+import dataclasses
 import json
+import multiprocessing
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from heckebn.certificates import Certificate
 from heckebn.giambelli import pk_beta
 from heckebn.modular import certify_mod
 from heckebn.store import Store
@@ -185,6 +191,113 @@ def test_store_rejects_corruption(tmp_path):
     obj["witness_residue"] = "1"
     blob.write_text(json.dumps(obj))
     assert store.get_certificate("modular", 11, cert.g0) is None
+
+
+def test_store_rejects_corrupt_ref(tmp_path):
+    store = Store(tmp_path / "store")
+    cert, other = certify_mod(11), certify_mod(12)
+    digest = store.put_certificate(cert)
+    other_digest = store.put_certificate(other)
+    ref = store.root / "refs" / f"cert@modular@11@{cert.g0}"
+    assert ref.read_text() == digest
+    # "../x" would reach a directory outside the store, which cannot be read;
+    # other_digest names a sound record, but of another key
+    (tmp_path / "x.json").mkdir()
+    for content in ["not a digest", digest.upper(), digest + "\n", "0" * 64,
+                    other_digest, "../x", "../store/" + digest]:
+        ref.write_text(content)
+        assert store.get_certificate("modular", 11, cert.g0) is None, content
+        assert store.certificates_for("modular", 11) == []
+    ref.write_text(digest)
+    assert store.get_certificate("modular", 11, cert.g0) == cert
+
+
+def test_store_put_replaces_record_of_same_key(tmp_path):
+    store = Store(tmp_path)
+    cert = certify_mod(10)
+    store.put_certificate(dataclasses.replace(cert, generated_by="heckebn 0.0.1"))
+    assert store.get_certificate("modular", 10, cert.g0) is None
+    store.put_certificate(cert)
+    assert store.get_certificate("modular", 10, cert.g0) == cert
+
+
+def test_store_ignores_legacy_index(tmp_path):
+    store = Store(tmp_path)
+    cert = certify_mod(10)
+    digest = store.put_certificate(cert)
+    (store.root / "refs" / f"cert@modular@10@{cert.g0}").unlink()
+    (tmp_path / "index.json").write_text(json.dumps({f"cert:modular:10:{cert.g0}": digest}))
+    assert store.get_certificate("modular", 10, cert.g0) is None
+    assert store.put_certificate(cert) == digest
+    assert store.get_certificate("modular", 10, cert.g0) == cert
+
+
+def _race_certificates(worker: int) -> list[Certificate]:
+    # the store does not verify what it holds, so 40 distinct keys per worker
+    # need no computation
+    return [
+        Certificate(kind="modular", k=10, g0=1000 + 40 * worker + j, criterion="e6.1",
+                    unit=1, witness_residue=1, m_indices=(0,), m_values=(1,))
+        for j in range(40)
+    ]
+
+
+def _put_race(root: str, worker: int, barrier) -> None:
+    store = Store(root)
+    barrier.wait(timeout=60)
+    for cert in _race_certificates(worker):
+        store.put_certificate(cert)
+
+
+def test_store_concurrent_writers_keep_every_key(tmp_path):
+    ctx = multiprocessing.get_context("spawn")
+    barrier = ctx.Barrier(4)
+    procs = [ctx.Process(target=_put_race, args=(str(tmp_path), w, barrier)) for w in range(4)]
+    for p in procs:
+        p.start()
+    for p in procs:
+        p.join(timeout=120)
+    assert all(not p.is_alive() and p.exitcode == 0 for p in procs)
+    store = Store(tmp_path)
+    written = [c for w in range(4) for c in _race_certificates(w)]
+    lost = [c.g0 for c in written if store.get_certificate("modular", 10, c.g0) != c]
+    assert lost == []
+    assert store.certificates_for("modular", 10) == written
+
+
+@st.composite
+def certificates(draw):
+    k = draw(st.integers(1, 60))
+    g0 = draw(st.integers(2, 10**6))
+    if draw(st.booleans()):
+        idx = draw(st.lists(st.integers(0, g0), max_size=3))
+        return Certificate(
+            kind="modular", k=k, g0=g0, criterion=draw(st.sampled_from(["e6.1", "e6.2"])),
+            ell=draw(st.integers(0, 100)), unit=draw(st.integers(1, g0 - 1)),
+            witness_residue=draw(st.integers(0, g0 - 1)), m_indices=tuple(idx),
+            m_values=tuple(draw(st.integers(0, g0 - 1)) for _ in idx),
+        )
+    return Certificate(
+        kind="rational", k=k, g0=g0, criterion="pairing",
+        monomial=tuple(draw(st.lists(st.integers(0, 300), min_size=4, max_size=4))),
+        witness_value=draw(st.fractions().filter(bool)),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(certificates(), st.integers(min_value=0), st.integers(1, 255))
+def test_certificate_and_store_round_trip(cert, pos, flip):
+    assert Certificate.from_json_obj(cert.to_json_obj()) == cert
+    with tempfile.TemporaryDirectory() as root:
+        store = Store(root)
+        digest = store.put_certificate(cert)
+        assert store.get_certificate(cert.kind, cert.k, cert.g0) == cert
+        assert store.certificates_for(cert.kind, cert.k) == [cert]
+        blob = store.path_for(digest)
+        data = bytearray(blob.read_bytes())
+        data[pos % len(data)] ^= flip
+        blob.write_bytes(bytes(data))
+        assert store.get_certificate(cert.kind, cert.k, cert.g0) is None
 
 
 def test_store_env_default(tmp_path, monkeypatch):
