@@ -74,7 +74,9 @@ class Certificate:
         """Recheck the witness; deep recomputes it from the parameters alone.
 
         Returns False, never raises, when the parameters are outside the
-        range where the criterion proves anything.
+        range where the criterion proves anything.  A deep check of a
+        rational certificate needs the trivariate P_k, so above
+        PK_FULL_DEFAULT_LIMIT it returns False as well.
         """
         if self.k < 1:
             return False
@@ -131,9 +133,11 @@ class Certificate:
         if self.witness_value is None or self.witness_value == 0:
             return False
         if deep:
-            from .giambelli import pk_full
+            from .giambelli import PK_FULL_DEFAULT_LIMIT, pk_full
             from .hecke import pair_with_monomial
 
+            if self.k > PK_FULL_DEFAULT_LIMIT:
+                return False
             value = pair_with_monomial(
                 pk_full(self.k).polynomial, self.monomial, self.g0
             )

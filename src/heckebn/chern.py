@@ -15,12 +15,6 @@ convention c_0 = 2 is applied on output.
 tilde_mod_coeffs(n, g) reduces chern_tilde mod an odd prime g > n: every
 denominator divides a product of integers <= n and a power of 2, so it is a
 unit mod g.
-
-chern_oracle(n) is an independent route used to cross-check the recurrence:
-it expands
-  c(t) - 1 = exp(sum_{n>=0} (beta h/4 - (n/2) gamma) (beta/4)^{n-1}
-             t^{2n+1}/(2n+1))
-as a truncated power series.
 """
 
 from __future__ import annotations
@@ -28,14 +22,12 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 
-from .numbers import binomial, is_prime
+from .numbers import is_prime
 from .poly import BETA, GAMMA, H, GradedPoly
 
 __all__ = [
     "chern_full",
     "chern_tilde",
-    "chern_oracle",
-    "beta4_closed_form",
     "tilde_mod_coeffs",
 ]
 
@@ -102,62 +94,3 @@ def tilde_mod_coeffs(n: int, g: int) -> list[list[int]]:
             coeffs = _TILDE[m].coeffs_in("beta")
             seq.append([c.numerator * pow(c.denominator, -1, g) % g for c in coeffs])
         return [row[:] for row in seq[: n + 1]]
-
-
-_ORACLE: list[GradedPoly] = []
-
-
-def chern_oracle(n: int) -> GradedPoly:
-    """Independent expansion of the closed-form exponential series."""
-    if n < 0:
-        return GradedPoly.zero()
-    if n == 0:
-        return GradedPoly.constant(2)
-    with _lock:
-        if len(_ORACLE) <= n:
-            _extend_oracle(n)
-        return _ORACLE[n]
-
-
-def _extend_oracle(upto: int) -> None:
-    # S(t) has odd coefficients s_1 = h and, for m >= 1,
-    # s_{2m+1} = (beta h/4 - (m/2) gamma)(beta/4)^{m-1} / (2m+1).
-    s: list[GradedPoly] = [GradedPoly.zero() for _ in range(upto + 2)]
-    if len(s) > 1:
-        s[1] = H
-    m = 1
-    while 2 * m + 1 < len(s):
-        s[2 * m + 1] = (
-            (BETA * H * _QUARTER - GAMMA * Fraction(m, 2))
-            * BETA ** (m - 1)
-            * _QUARTER ** (m - 1)
-            * Fraction(1, 2 * m + 1)
-        )
-        m += 1
-    # E = exp(S) via (n+1) E_{n+1} = sum_j (j+1) s_{j+1} E_{n-j}.
-    e: list[GradedPoly] = [GradedPoly.one()]
-    for n in range(upto + 1):
-        acc = GradedPoly.zero()
-        for j in range(n + 1):
-            if not s[j + 1].is_zero():
-                acc = acc + s[j + 1] * e[n - j] * (j + 1)
-        e.append(acc * Fraction(1, n + 1))
-    new = [GradedPoly.constant(2)] + e[1:]
-    del _ORACLE[:]
-    _ORACLE.extend(new)
-
-
-def beta4_closed_form(n: int) -> Fraction:
-    """Value of ct_n at beta = 4: central binomial ratio (2m)! / (4^m m!^2).
-
-    For n >= 2 the odd and even neighbors agree: ct_{2m} = ct_{2m+1}.
-    n = 0 gives 2 (the Giambelli convention) and n = 1 gives 1.
-    """
-    if n < 0:
-        raise ValueError("negative Chern index")
-    if n == 0:
-        return Fraction(2)
-    if n == 1:
-        return Fraction(1)
-    m = n // 2
-    return Fraction(binomial(2 * m, m), 4**m)

@@ -12,10 +12,6 @@ class HeckeError(Exception):
     """Base class for all package-specific errors."""
 
 
-class FieldMismatchError(HeckeError):
-    """Mixed coefficient fields (rational vs mod-p, or different primes)."""
-
-
 class InapplicableError(HeckeError):
     """A well-formed question whose preconditions fail at these parameters."""
 

@@ -9,8 +9,7 @@ lists over F_g (modular.mj_mod).
 
 Structural facts checked here: the beta = 4 closed form
 (-1)^{delta(k)} 2^{-k(k-1)/2}, the degree bound floor(k^2/4) on the beta
-specialization, root multiplicities at beta = 1/i^2, and the Schur dimension
-count backing the nonvanishing of P_k(1,4,0) mod p.
+specialization, and root multiplicities at beta = 1/i^2.
 """
 
 from __future__ import annotations
@@ -22,13 +21,11 @@ from fractions import Fraction
 
 from . import tool_stamp
 from .chern import _chern_sequence, chern_full, chern_tilde
-from .numbers import is_prime
 from .poly import GradedPoly, PolyMatrix, det, det_numeric, root_multiplicity
 
 __all__ = [
     "PK_FULL_DEFAULT_LIMIT",
     "PkRecord",
-    "Partition",
     "giambelli_rows",
     "giambelli_matrix",
     "pk_full",
@@ -41,8 +38,6 @@ __all__ = [
     "multiplicity_profile",
     "lemma37_bound",
     "conjecture_bound",
-    "schur_dim",
-    "lemma35_check",
 ]
 
 # Symbolic trivariate determinants grow quickly; the rational-certificate
@@ -82,24 +77,6 @@ class PkRecord:
             algorithm=obj["algorithm"],
             version=obj["version"],
         )
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Weakly decreasing tuple of nonnegative integers."""
-
-    parts: tuple[int, ...]
-
-    def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts)
-        if any(p < 0 for p in parts):
-            raise ValueError("partition parts must be nonnegative")
-        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-            raise ValueError("partition parts must be weakly decreasing")
-        object.__setattr__(self, "parts", parts)
-
-    def stripped(self) -> tuple[int, ...]:
-        return tuple(p for p in self.parts if p > 0)
 
 
 def giambelli_rows(k: int, c: list, zero) -> list[list]:
@@ -248,49 +225,3 @@ def multiplicity_profile(k: int, store=None) -> list[tuple[int, int]]:
     return [
         (i, root_multiplicity(poly, Fraction(1, i * i))) for i in range(1, k)
     ]
-
-
-def schur_dim(lam, n: int) -> int:
-    """S_lambda(1, ..., 1) with n ones, by the hook-content product formula."""
-    if not isinstance(lam, Partition):
-        lam = Partition(tuple(lam))
-    parts = lam.stripped()
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if len(parts) > n:
-        raise ValueError(f"partition has {len(parts)} rows > n = {n}")
-    num = 1
-    den = 1
-    for i, row in enumerate(parts):  # 0-based cell (i, j)
-        for j in range(row):
-            num *= n + j - i
-            arm = row - j - 1
-            leg = sum(1 for r in parts[i + 1 :] if r > j)
-            den *= arm + leg + 1
-    q, r = divmod(num, den)
-    if r:
-        raise AssertionError("hook-content product is not an integer")
-    return q
-
-
-def lemma35_check(k: int, p: int, store=None) -> bool:
-    """P_k(1,4,0) is a unit mod p for odd primes p > k.
-
-    Evaluates the determinant exactly, reduces mod p, and cross-checks the
-    residue against the closed form.
-    """
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"p={p} is not an odd prime")
-    if p <= k:
-        raise ValueError(f"lemma needs p > k, got p={p}, k={k}")
-    value = pk_eval(k, 1, 4, 0)
-    if value.denominator % p == 0:
-        return False
-    residue = value.numerator * pow(value.denominator, -1, p) % p
-    predicted = closed_form_14(k)
-    pred_residue = predicted.numerator * pow(predicted.denominator, -1, p) % p
-    if residue != pred_residue:
-        raise AssertionError(
-            f"P_{k}(1,4,0) mod {p}: determinant gives {residue}, closed form {pred_residue}"
-        )
-    return residue != 0

@@ -31,12 +31,11 @@ from .certificates import Certificate
 from .errors import NegativeExpectedDimensionError
 from .giambelli import pk_full
 from .numbers import bernoulli, binomial, is_prime
-from .poly import ALPHA, BETA, GradedPoly
+from .poly import ALPHA, GradedPoly
 
 __all__ = [
     "HeckeClass",
     "h_power",
-    "h_power_by_reduction",
     "to_basis",
     "IntersectionQuery",
     "thaddeus_number",
@@ -59,8 +58,6 @@ class HeckeClass:
 
     def __post_init__(self):
         for part, label in ((self.f, "f"), (self.fprime, "f'")):
-            if part.modulus is not None:
-                raise ValueError("Hecke classes use rational coefficients")
             if part.degree_in("h") > 0:
                 raise ValueError(f"component {label} must not contain h")
 
@@ -106,24 +103,8 @@ def h_power(r: int) -> HeckeClass:
     return out
 
 
-def h_power_by_reduction(r: int) -> HeckeClass:
-    """h^r by iterating h^2 = alpha h - (alpha^2 - beta)/4; cross-check path."""
-    if r < 1:
-        raise ValueError("h_power needs r >= 1")
-    cur = HeckeClass(GradedPoly.one(), GradedPoly.zero())
-    for _ in range(r - 1):
-        # h * (f h + f') = (f alpha + f') h + f (beta - alpha^2)/4
-        cur = HeckeClass(
-            cur.f * ALPHA + cur.fprime,
-            cur.f * (BETA - ALPHA**2) * Fraction(1, 4),
-        )
-    return cur
-
-
 def to_basis(q: GradedPoly) -> HeckeClass:
     """Rewrite an arbitrary polynomial in h, alpha, beta, gamma as f h + f'."""
-    if q.modulus is not None:
-        raise ValueError("basis expansion works over the rationals")
     f = GradedPoly.zero()
     fprime = GradedPoly.zero()
     for mono, c in q.items():

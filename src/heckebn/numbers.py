@@ -24,7 +24,6 @@ __all__ = [
     "next_prime",
     "BernoulliTable",
     "bernoulli",
-    "von_staudt_denominator",
     "factorial_mod",
 ]
 
@@ -134,19 +133,6 @@ _BERNOULLI = BernoulliTable()
 def bernoulli(q: int) -> Fraction:
     """Bernoulli number B_q, with B_1 = -1/2 and B_q = 0 for q < 0."""
     return _BERNOULLI.get(q)
-
-
-def von_staudt_denominator(q: int) -> int:
-    """Denominator of B_q for even q >= 0: product of primes p with (p-1) | q."""
-    if q < 0 or q % 2 != 0:
-        raise ValueError(f"von Staudt-Clausen applies to even q >= 0, got {q}")
-    if q == 0:
-        return 1
-    out = 1
-    for p in range(2, q + 2):
-        if is_prime(p) and q % (p - 1) == 0:
-            out *= p
-    return out
 
 
 # ---------------------------------------------------------------------------

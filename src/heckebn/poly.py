@@ -1,22 +1,22 @@
 """Sparse exact polynomials in h, alpha, beta, gamma, and determinants of them.
 
-Coefficients live either in Q (stdlib Fraction) or in a prime field F_p; the
-field is a tag on the polynomial and mixing fields raises.  The grading gives
-h and alpha weight 1, beta weight 2, gamma weight 3 ("half-degree": all
-geometric classes here have even cohomological degree).
+Coefficients are rationals (stdlib Fraction).  The grading gives h and alpha
+weight 1, beta weight 2, gamma weight 3 ("half-degree": all geometric
+classes here have even cohomological degree).
 
-Determinants get an engine per shape: memoized Laplace expansion along the
-sparse bottom rows for genuinely multivariate matrices, fraction-free Bareiss
-with exact polynomial division as the generic cross-check,
-evaluation/interpolation for univariate rational matrices, and a dense
-coefficient-vector Bareiss over F_p[x] on coefficient lists.  Interpolation
-runs in Python integers: rows scaled to integer coefficients, every entry
-evaluated at each node by Horner's rule, integer Bareiss at each node,
-and Newton's forward differences over one common denominator.  The last
-divides each pivot step by one x-adic series inverse of the previous pivot
-(Newton iteration), checks every quotient by multiplying back, and keeps
-coefficients in int64 arrays while p^2 * n * max_len < 2^62 bounds every
-convolution sum, in Python-int object arrays above that.
+Determinants get an engine per shape: integer Bareiss for constant
+matrices, evaluation/interpolation for univariate ones, and memoized Laplace
+expansion along the sparse bottom rows for genuinely multivariate ones.
+Interpolation runs in Python integers: rows scaled to integer coefficients,
+every entry evaluated at each node by Horner's rule, integer Bareiss at each
+node, and Newton's forward differences over one common denominator.
+
+Prime-field work never builds a polynomial object: det_mod_univariate takes
+coefficient lists over F_p[x] and runs a dense coefficient-vector Bareiss.
+It divides each pivot step by one x-adic series inverse of the previous
+pivot (Newton iteration), checks every quotient by multiplying back, and
+keeps coefficients in int64 arrays while p^2 * n * max_len < 2^62 bounds
+every convolution sum, in Python-int object arrays above that.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import FieldMismatchError
-from .numbers import format_rational, is_prime, parse_rational
+from .numbers import format_rational, parse_rational
 
 __all__ = [
     "SYMBOLS",
@@ -39,8 +38,9 @@ __all__ = [
     "PolyMatrix",
     "det",
     "det_minor_expansion",
-    "det_bareiss",
+    "det_numeric",
     "det_interpolate",
+    "det_mod_univariate",
     "root_multiplicity",
     "poly_from_coeffs",
     "H",
@@ -55,64 +55,40 @@ WEIGHTS = (1, 1, 2, 3)
 Monomial = tuple[int, int, int, int]
 
 _ZERO_MONO: Monomial = (0, 0, 0, 0)
-
-
-def _coerce_scalar(c, modulus: int | None):
-    if modulus is None:
-        return Fraction(c)
-    if isinstance(c, Fraction):
-        if c.denominator % modulus == 0:
-            raise ZeroDivisionError(f"denominator of {c} vanishes mod {modulus}")
-        return c.numerator * pow(c.denominator, -1, modulus) % modulus
-    return int(c) % modulus
+_ZERO = Fraction(0)
 
 
 class GradedPoly:
-    """Immutable sparse polynomial over Q or F_p.
+    """Immutable sparse polynomial over Q.
 
     coeffs maps exponent tuples (e_h, e_alpha, e_beta, e_gamma) to nonzero
-    scalars; modulus None means rational coefficients.
+    Fractions.
     """
 
-    __slots__ = ("coeffs", "modulus")
+    __slots__ = ("coeffs",)
 
-    def __init__(
-        self,
-        coeffs: Mapping[Monomial, object] | None = None,
-        modulus: int | None = None,
-    ):
-        if modulus is not None and not is_prime(modulus):
-            raise ValueError(f"modulus {modulus} is not prime")
-        clean: dict[Monomial, object] = {}
+    def __init__(self, coeffs: Mapping[Monomial, object] | None = None):
+        clean: dict[Monomial, Fraction] = {}
         if coeffs:
             for mono, c in coeffs.items():
                 mono = tuple(int(e) for e in mono)  # type: ignore[assignment]
                 if len(mono) != 4 or any(e < 0 for e in mono):
                     raise ValueError(f"bad exponent tuple {mono}")
-                v = _coerce_scalar(c, modulus)
+                v = Fraction(c)
                 if v:
-                    clean[mono] = clean.get(mono, _zero(modulus)) + v
-                    if modulus is not None:
-                        clean[mono] %= modulus
+                    clean[mono] = clean.get(mono, _ZERO) + v
                     if not clean[mono]:
                         del clean[mono]
         object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "modulus", modulus)
 
     @classmethod
-    def _trusted(cls, coeffs: dict, modulus: int | None) -> GradedPoly:
+    def _trusted(cls, coeffs: dict) -> GradedPoly:
         """Wrap an arithmetic result on canonical operands.
 
-        Skips the primality check and the re-coercion of `__init__`; still
-        reduces mod p and drops zero coefficients.
+        Skips the re-coercion of `__init__`; still drops zero coefficients.
         """
-        if modulus is None:
-            clean = {m: c for m, c in coeffs.items() if c}
-        else:
-            clean = {m: c % modulus for m, c in coeffs.items() if c % modulus}
         out = object.__new__(cls)
-        object.__setattr__(out, "coeffs", clean)
-        object.__setattr__(out, "modulus", modulus)
+        object.__setattr__(out, "coeffs", {m: c for m, c in coeffs.items() if c})
         return out
 
     def __setattr__(self, name, value):
@@ -121,33 +97,33 @@ class GradedPoly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, modulus: int | None = None) -> GradedPoly:
-        return cls({}, modulus)
+    def zero(cls) -> GradedPoly:
+        return cls({})
 
     @classmethod
-    def one(cls, modulus: int | None = None) -> GradedPoly:
-        return cls({_ZERO_MONO: 1}, modulus)
+    def one(cls) -> GradedPoly:
+        return cls({_ZERO_MONO: 1})
 
     @classmethod
-    def constant(cls, c, modulus: int | None = None) -> GradedPoly:
-        return cls({_ZERO_MONO: c}, modulus)
+    def constant(cls, c) -> GradedPoly:
+        return cls({_ZERO_MONO: c})
 
     @classmethod
-    def symbol(cls, name: str, modulus: int | None = None) -> GradedPoly:
+    def symbol(cls, name: str) -> GradedPoly:
         i = SYMBOLS.index(name)
         mono = tuple(1 if j == i else 0 for j in range(4))
-        return cls({mono: 1}, modulus)  # type: ignore[arg-type]
+        return cls({mono: 1})  # type: ignore[dict-item]
 
     @classmethod
-    def monomial(cls, mono: Monomial, c=1, modulus: int | None = None) -> GradedPoly:
-        return cls({tuple(mono): c}, modulus)  # type: ignore[dict-item]
+    def monomial(cls, mono: Monomial, c=1) -> GradedPoly:
+        return cls({tuple(mono): c})  # type: ignore[dict-item]
 
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def items(self) -> Iterator[tuple[Monomial, object]]:
+    def items(self) -> Iterator[tuple[Monomial, Fraction]]:
         return iter(self.coeffs.items())
 
     def __len__(self) -> int:
@@ -156,16 +132,16 @@ class GradedPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedPoly):
             if isinstance(other, (int, Fraction)):
-                other = GradedPoly.constant(other, self.modulus)
+                other = GradedPoly.constant(other)
             else:
                 return NotImplemented
-        return self.modulus == other.modulus and self.coeffs == other.coeffs
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash((self.modulus, frozenset(self.coeffs.items())))
+        return hash(frozenset(self.coeffs.items()))
 
-    def coefficient_of(self, mono: Monomial):
-        return self.coeffs.get(tuple(mono), _zero(self.modulus))
+    def coefficient_of(self, mono: Monomial) -> Fraction:
+        return self.coeffs.get(tuple(mono), _ZERO)
 
     def symbols_used(self) -> set[str]:
         out: set[str] = set()
@@ -200,25 +176,18 @@ class GradedPoly:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _check_field(self, other: GradedPoly) -> None:
-        if self.modulus != other.modulus:
-            raise FieldMismatchError(
-                f"cannot mix fields: {self.modulus} vs {other.modulus}"
-            )
-
     def __add__(self, other) -> GradedPoly:
         other = self._coerce(other)
-        self._check_field(other)
         out = dict(self.coeffs)
         for mono, c in other.coeffs.items():
-            out[mono] = out.get(mono, _zero(self.modulus)) + c
-        return GradedPoly._trusted(out, self.modulus)
+            out[mono] = out.get(mono, _ZERO) + c
+        return GradedPoly._trusted(out)
 
     def __radd__(self, other) -> GradedPoly:
         return self.__add__(other)
 
     def __neg__(self) -> GradedPoly:
-        return GradedPoly._trusted({m: -c for m, c in self.coeffs.items()}, self.modulus)
+        return GradedPoly._trusted({m: -c for m, c in self.coeffs.items()})
 
     def __sub__(self, other) -> GradedPoly:
         return self.__add__(-self._coerce(other))
@@ -228,19 +197,16 @@ class GradedPoly:
 
     def __mul__(self, other) -> GradedPoly:
         if isinstance(other, (int, Fraction)):
-            c = _coerce_scalar(other, self.modulus)
-            return GradedPoly._trusted(
-                {m: v * c for m, v in self.coeffs.items()}, self.modulus
-            )
+            c = Fraction(other)
+            return GradedPoly._trusted({m: v * c for m, v in self.coeffs.items()})
         if not isinstance(other, GradedPoly):
             return NotImplemented
-        self._check_field(other)
-        out: dict[Monomial, object] = {}
+        out: dict[Monomial, Fraction] = {}
         for m1, c1 in self.coeffs.items():
             for m2, c2 in other.coeffs.items():
                 m = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3])
-                out[m] = out.get(m, _zero(self.modulus)) + c1 * c2
-        return GradedPoly._trusted(out, self.modulus)
+                out[m] = out.get(m, _ZERO) + c1 * c2
+        return GradedPoly._trusted(out)
 
     def __rmul__(self, other) -> GradedPoly:
         return self.__mul__(other)
@@ -248,7 +214,7 @@ class GradedPoly:
     def __pow__(self, n: int) -> GradedPoly:
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = GradedPoly.one(self.modulus)
+        out = GradedPoly.one()
         base = self
         while n:
             if n & 1:
@@ -261,7 +227,7 @@ class GradedPoly:
         if isinstance(other, GradedPoly):
             return other
         if isinstance(other, (int, Fraction)):
-            return GradedPoly.constant(other, self.modulus)
+            return GradedPoly.constant(other)
         raise TypeError(f"cannot combine GradedPoly with {type(other)!r}")
 
     # -- substitution ------------------------------------------------------
@@ -272,18 +238,18 @@ class GradedPoly:
         for name, v in values.items():
             if name not in SYMBOLS:
                 raise ValueError(f"unknown symbol {name!r}")
-            idx[SYMBOLS.index(name)] = _coerce_scalar(v, self.modulus)
-        out: dict[Monomial, object] = {}
+            idx[SYMBOLS.index(name)] = Fraction(v)
+        out: dict[Monomial, Fraction] = {}
         for mono, c in self.coeffs.items():
             for i, v in idx.items():
                 e = mono[i]
                 if e:
-                    c = c * (v**e if self.modulus is None else pow(v, e, self.modulus))
+                    c = c * v**e
             rest = tuple(0 if i in idx else e for i, e in enumerate(mono))
-            out[rest] = out.get(rest, _zero(self.modulus)) + c
-        return GradedPoly._trusted(out, self.modulus)
+            out[rest] = out.get(rest, _ZERO) + c
+        return GradedPoly._trusted(out)
 
-    def evaluate(self, **values):
+    def evaluate(self, **values) -> Fraction:
         """Bind every symbol that occurs and return the scalar value."""
         r = self.substitute(**values)
         if r.symbols_used():
@@ -291,125 +257,66 @@ class GradedPoly:
             raise ValueError(f"unbound symbols in evaluation: {missing}")
         return r.coefficient_of(_ZERO_MONO)
 
-    def reduce_mod(self, p: int) -> GradedPoly:
-        """Image in F_p[h, alpha, beta, gamma]; denominators must be units mod p."""
-        if self.modulus is not None:
-            raise ValueError("polynomial is already modular")
-        return GradedPoly(dict(self.coeffs), p)
-
-    def coeffs_in(self, name: str) -> list:
+    def coeffs_in(self, name: str) -> list[Fraction]:
         """Ascending coefficient list for a univariate polynomial in `name`."""
         extra = self.symbols_used() - {name}
         if extra:
             raise ValueError(f"not univariate in {name}: also uses {sorted(extra)}")
         i = SYMBOLS.index(name)
-        out = [_zero(self.modulus)] * max(self.degree_in(name) + 1, 1)
+        out = [_ZERO] * max(self.degree_in(name) + 1, 1)
         for mono, c in self.coeffs.items():
             out[mono[i]] = c
         return out
 
-    def beta_coefficients(self) -> list:
+    def beta_coefficients(self) -> list[Fraction]:
         return self.coeffs_in("beta")
 
     # -- serialization -----------------------------------------------------
 
     def to_json_obj(self) -> list[dict]:
         """Canonical form: terms sorted by exponent tuple, exact coefficients."""
-        out = []
-        for mono in sorted(self.coeffs):
-            c = self.coeffs[mono]
-            s = format_rational(c) if self.modulus is None else str(int(c))
-            out.append({"e": list(mono), "c": s})
-        return out
+        return [
+            {"e": list(mono), "c": format_rational(self.coeffs[mono])}
+            for mono in sorted(self.coeffs)
+        ]
 
     @classmethod
-    def from_json_obj(cls, obj: Iterable[dict], modulus: int | None = None) -> GradedPoly:
-        coeffs = {}
-        for term in obj:
-            mono = tuple(term["e"])
-            c = parse_rational(term["c"]) if modulus is None else int(term["c"])
-            coeffs[mono] = c
-        return cls(coeffs, modulus)
+    def from_json_obj(cls, obj: Iterable[dict]) -> GradedPoly:
+        return cls({tuple(term["e"]): parse_rational(term["c"]) for term in obj})
 
     def __repr__(self) -> str:
         if self.is_zero():
             return "0"
         parts = []
         for mono in sorted(self.coeffs, key=self._display_key):
-            c = self.coeffs[mono]
             body = "*".join(
                 f"{SYMBOLS[i]}^{e}" if e > 1 else SYMBOLS[i]
                 for i, e in enumerate(mono)
                 if e
             )
-            cs = format_rational(c) if self.modulus is None else str(int(c))
+            cs = format_rational(self.coeffs[mono])
             parts.append(f"({cs})*{body}" if body else f"({cs})")
-        s = " + ".join(parts)
-        return s if self.modulus is None else f"{s} mod {self.modulus}"
+        return " + ".join(parts)
 
     def _display_key(self, mono: Monomial):
         return (-sum(e * w for e, w in zip(mono, WEIGHTS)), mono)
 
 
-def _zero(modulus: int | None):
-    return Fraction(0) if modulus is None else 0
-
-
-# module-level rational symbols
+# module-level symbols
 H = GradedPoly.symbol("h")
 ALPHA = GradedPoly.symbol("alpha")
 BETA = GradedPoly.symbol("beta")
 GAMMA = GradedPoly.symbol("gamma")
 
 
-def poly_from_coeffs(coeffs: Iterable, name: str = "beta", modulus: int | None = None) -> GradedPoly:
+def poly_from_coeffs(coeffs: Iterable, name: str = "beta") -> GradedPoly:
     """Univariate polynomial from an ascending coefficient list."""
     i = SYMBOLS.index(name)
     d = {}
     for e, c in enumerate(coeffs):
         mono = tuple(e if j == i else 0 for j in range(4))
         d[mono] = c
-    return GradedPoly(d, modulus)
-
-
-# ---------------------------------------------------------------------------
-# exact division (needed by fraction-free elimination)
-
-
-def _lead(p: GradedPoly) -> tuple[Monomial, object]:
-    mono = max(p.coeffs)
-    return mono, p.coeffs[mono]
-
-
-def exact_div(num: GradedPoly, den: GradedPoly) -> GradedPoly:
-    """Exact quotient num/den; raises ArithmeticError if den does not divide num."""
-    if den.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    num._check_field(den)
-    modulus = num.modulus
-    dm, dc = _lead(den)
-    if modulus is not None:
-        dc_inv = pow(int(dc), -1, modulus)
-    rem = dict(num.coeffs)
-    quo: dict[Monomial, object] = {}
-    while rem:
-        m = max(rem)
-        c = rem[m]
-        qm = tuple(a - b for a, b in zip(m, dm))
-        if any(e < 0 for e in qm):
-            raise ArithmeticError("inexact polynomial division")
-        qc = c / dc if modulus is None else c * dc_inv % modulus
-        quo[qm] = qc
-        for m2, c2 in den.coeffs.items():
-            t = (qm[0] + m2[0], qm[1] + m2[1], qm[2] + m2[2], qm[3] + m2[3])
-            v = rem.get(t, _zero(modulus)) - qc * c2
-            if modulus is not None:
-                v %= modulus
-            if v:
-                rem[t] = v
-            elif t in rem:
-                del rem[t]
-    return GradedPoly(quo, modulus)
+    return GradedPoly(d)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +325,7 @@ def exact_div(num: GradedPoly, den: GradedPoly) -> GradedPoly:
 
 @dataclass(frozen=True)
 class PolyMatrix:
-    """Square matrix of GradedPoly entries over one coefficient field."""
+    """Square matrix of GradedPoly entries."""
 
     entries: tuple[tuple[GradedPoly, ...], ...]
 
@@ -429,34 +336,17 @@ class PolyMatrix:
         for row in self.entries:
             if len(row) != n:
                 raise ValueError("matrix is not square")
-        mods = {p.modulus for row in self.entries for p in row}
-        if len(mods) > 1:
-            raise FieldMismatchError(f"mixed coefficient fields in matrix: {mods}")
 
     @classmethod
-    def build(cls, rows, modulus: int | None = None) -> PolyMatrix:
-        out = []
-        for row in rows:
-            r = []
-            for x in row:
-                if isinstance(x, GradedPoly):
-                    if x.modulus != modulus:
-                        raise FieldMismatchError(
-                            f"entry field {x.modulus} != matrix field {modulus}"
-                        )
-                    r.append(x)
-                else:
-                    r.append(GradedPoly.constant(x, modulus))
-            out.append(tuple(r))
-        return cls(tuple(out))
+    def build(cls, rows) -> PolyMatrix:
+        return cls(tuple(
+            tuple(x if isinstance(x, GradedPoly) else GradedPoly.constant(x) for x in row)
+            for row in rows
+        ))
 
     @property
     def n(self) -> int:
         return len(self.entries)
-
-    @property
-    def modulus(self) -> int | None:
-        return self.entries[0][0].modulus
 
     def symbols_used(self) -> set[str]:
         out: set[str] = set()
@@ -484,7 +374,7 @@ def det_minor_expansion(m: PolyMatrix) -> GradedPoly:
         if r == 0:
             memo[cols] = entries[0][ordered[0]]
             return memo[cols]
-        acc = GradedPoly.zero(m.modulus)
+        acc = GradedPoly.zero()
         for pos, j in enumerate(ordered):
             a = entries[r][j]
             if a.is_zero():
@@ -495,32 +385,6 @@ def det_minor_expansion(m: PolyMatrix) -> GradedPoly:
         return acc
 
     return rec(frozenset(range(m.n)))
-
-
-def det_bareiss(m: PolyMatrix) -> GradedPoly:
-    """Fraction-free Bareiss elimination with exact polynomial division."""
-    n = m.n
-    a = [list(row) for row in m.entries]
-    modulus = m.modulus
-    sign = 1
-    prev = GradedPoly.one(modulus)
-    for r in range(n - 1):
-        if a[r][r].is_zero():
-            for i in range(r + 1, n):
-                if not a[i][r].is_zero():
-                    a[r], a[i] = a[i], a[r]
-                    sign = -sign
-                    break
-            else:
-                return GradedPoly.zero(modulus)
-        for i in range(r + 1, n):
-            for j in range(r + 1, n):
-                num = a[r][r] * a[i][j] - a[i][r] * a[r][j]
-                a[i][j] = exact_div(num, prev)
-            a[i][r] = GradedPoly.zero(modulus)
-        prev = a[r][r]
-    out = a[n - 1][n - 1]
-    return -out if sign < 0 else out
 
 
 def _det_bareiss_int(rows: list[list[int]]) -> int:
@@ -571,7 +435,7 @@ def det_numeric(rows: list[list[int | Fraction]]) -> Fraction:
 
 
 def det_interpolate(m: PolyMatrix, name: str | None = None) -> GradedPoly:
-    """Univariate rational determinant by evaluation at 0..B and interpolation.
+    """Univariate determinant by evaluation at 0..B and interpolation.
 
     B is the generic row-degree bound sum(max_j deg entry(i, j)); the true
     determinant degree can be smaller, which interpolation detects on its own.
@@ -580,8 +444,6 @@ def det_interpolate(m: PolyMatrix, name: str | None = None) -> GradedPoly:
     det_numeric takes the integer matrix, and _interp_nodes turns the node
     values into coefficients over one common denominator.
     """
-    if m.modulus is not None:
-        raise ValueError("interpolation path is for rational matrices")
     syms = m.symbols_used()
     if name is None:
         if len(syms) > 1:
@@ -766,14 +628,11 @@ def det_mod_univariate(coeff_rows: list[list[list[int]]], p: int) -> list[int]:
 
 
 def det(m: PolyMatrix) -> GradedPoly:
-    """Determinant of a rational matrix, with the engine chosen by its shape.
+    """Determinant, with the engine chosen by the matrix's shape.
 
     Constant matrices go to integer Bareiss, univariate ones to
-    evaluation/interpolation, multivariate ones to minor expansion.  Matrices
-    over F_p[x] go to det_mod_univariate on coefficient lists instead.
+    evaluation/interpolation, multivariate ones to minor expansion.
     """
-    if m.modulus is not None:
-        raise ValueError("det takes rational matrices; use det_mod_univariate over F_p")
     syms = m.symbols_used()
     if not syms:
         rows = [[p.coefficient_of(_ZERO_MONO) for p in row] for row in m.entries]
@@ -784,7 +643,7 @@ def det(m: PolyMatrix) -> GradedPoly:
 
 
 def root_multiplicity(p: GradedPoly, root: Fraction | int, name: str = "beta") -> int:
-    """Multiplicity of `root` in a univariate rational polynomial.
+    """Multiplicity of `root` in a univariate polynomial.
 
     The coefficients are scaled once to integers.  For root = a/b in lowest
     terms, (b*x - a) is primitive, so by Gauss's lemma it divides an integer
@@ -792,8 +651,6 @@ def root_multiplicity(p: GradedPoly, root: Fraction | int, name: str = "beta") -
     runs in integers, and an inexact step means the root is not there.  The
     zero polynomial is rejected.
     """
-    if p.modulus is not None:
-        raise ValueError("root multiplicity is computed over the rationals")
     if p.is_zero():
         raise ValueError("zero polynomial has no well-defined root multiplicity")
     coeffs = p.coeffs_in(name)

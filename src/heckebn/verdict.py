@@ -24,8 +24,10 @@ from dataclasses import dataclass, field
 
 from .certificates import Certificate
 from .errors import InapplicableError
+from .giambelli import PK_FULL_DEFAULT_LIMIT
 from .hecke import rational_certificate
 from .modular import (
+    _usable_prime,
     certify_mod,
     find_gk,
     find_gpk,
@@ -40,7 +42,6 @@ __all__ = [
     "GENERAL",
     "LEVELS",
     "beta_rank2",
-    "beta_rank1",
     "Verdict",
     "decide",
     "twisted_bounds",
@@ -64,13 +65,6 @@ def beta_rank2(g: int, k: int) -> int:
     if g < 2 or k < 1:
         raise ValueError("need g >= 2 and k >= 1")
     return 3 * g - 3 - k * (k + 1) // 2
-
-
-def beta_rank1(g: int, d: int, k: int) -> int:
-    """Expected dimension of B(1,d,k): g - k(k - d + g - 1)."""
-    if g < 2:
-        raise ValueError("need g >= 2")
-    return g - k * (k - d + g - 1)
 
 
 # (g, k) -> (class_status, class_level, locus_status, locus_level)
@@ -124,20 +118,11 @@ class Verdict:
         }
 
 
-def _usable(k: int, p: int) -> bool:
-    return (
-        p > 2 * k
-        and is_prime(p)
-        and p != 2
-        and 3 * p - 3 - k * (k + 1) // 2 >= 0
-    )
-
-
 def _candidate_primes(g: int, k: int) -> list[int]:
     cands = [g, find_gpk(k), find_gk(k), *valid_primes_above(k, 2)]
     seen: list[int] = []
     for p in cands:
-        if p <= g and _usable(k, p) and p not in seen:
+        if p <= g and _usable_prime(k, p) and is_prime(p) and p not in seen:
             seen.append(p)
     return seen
 
@@ -202,7 +187,8 @@ def decide(
     locus rules in order of weakest sufficient hypothesis.  rational_budget
     enables the exact-pairing fallback for the class when no modular
     certificate or gate applies (off by default: it recomputes P_k over the
-    rationals, which is far slower than one prime-field determinant).
+    rationals, which is far slower than one prime-field determinant).  Above
+    PK_FULL_DEFAULT_LIMIT the fallback is skipped and the class stays UNKNOWN.
     """
     if assumption not in LEVELS:
         raise ValueError(f"unknown assumption level: {assumption!r}")
@@ -237,7 +223,7 @@ def decide(
                 class_status = "NONZERO"
                 class_rule = gate
                 used_levels.append(LEVELS[ANY_CURVE])
-            elif rational_budget > 0 and beta >= 0:
+            elif rational_budget > 0 and beta >= 0 and k <= PK_FULL_DEFAULT_LIMIT:
                 witness = rational_certificate(
                     g, k, budget=rational_budget, store=store
                 )

@@ -1,0 +1,244 @@
+"""Independent reference computations the tests compare the library against.
+
+None of these is on a production path.  Each one reaches a result the
+library also computes, by a different route: fraction-free Bareiss with
+exact polynomial division against the library's determinant engines, the
+exponential generating series against the Chern recurrence, iterated
+reduction by h^2 = alpha h - (alpha^2 - beta)/4 against the closed form for
+h^r, von Staudt-Clausen against the Bernoulli table, and so on.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from heckebn.giambelli import closed_form_14, pk_eval
+from heckebn.hecke import HeckeClass
+from heckebn.numbers import binomial, is_prime
+from heckebn.poly import ALPHA, BETA, GAMMA, H, GradedPoly, PolyMatrix
+
+
+def reduce_mod(coeffs: list, g: int) -> list[int]:
+    """Fractions (or ints) reduced into F_g; every denominator must be a unit."""
+    out = []
+    for c in coeffs:
+        c = Fraction(c)
+        if c.denominator % g == 0:
+            raise ZeroDivisionError(f"denominator of {c} vanishes mod {g}")
+        out.append(c.numerator * pow(c.denominator, -1, g) % g)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# determinants: fraction-free Bareiss with exact polynomial division
+
+
+def _lead(p: GradedPoly):
+    mono = max(p.coeffs)
+    return mono, p.coeffs[mono]
+
+
+def exact_div(num: GradedPoly, den: GradedPoly) -> GradedPoly:
+    """Exact quotient num/den; raises ArithmeticError if den does not divide num."""
+    if den.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    dm, dc = _lead(den)
+    rem = dict(num.coeffs)
+    quo = {}
+    while rem:
+        m = max(rem)
+        qm = tuple(a - b for a, b in zip(m, dm))
+        if any(e < 0 for e in qm):
+            raise ArithmeticError("inexact polynomial division")
+        qc = rem[m] / dc
+        quo[qm] = qc
+        for m2, c2 in den.coeffs.items():
+            t = (qm[0] + m2[0], qm[1] + m2[1], qm[2] + m2[2], qm[3] + m2[3])
+            v = rem.get(t, 0) - qc * c2
+            if v:
+                rem[t] = v
+            elif t in rem:
+                del rem[t]
+    return GradedPoly(quo)
+
+
+def det_bareiss(m: PolyMatrix) -> GradedPoly:
+    """Fraction-free Bareiss elimination with exact polynomial division."""
+    n = m.n
+    a = [list(row) for row in m.entries]
+    sign = 1
+    prev = GradedPoly.one()
+    for r in range(n - 1):
+        if a[r][r].is_zero():
+            for i in range(r + 1, n):
+                if not a[i][r].is_zero():
+                    a[r], a[i] = a[i], a[r]
+                    sign = -sign
+                    break
+            else:
+                return GradedPoly.zero()
+        for i in range(r + 1, n):
+            for j in range(r + 1, n):
+                num = a[r][r] * a[i][j] - a[i][r] * a[r][j]
+                a[i][j] = exact_div(num, prev)
+            a[i][r] = GradedPoly.zero()
+        prev = a[r][r]
+    out = a[n - 1][n - 1]
+    return -out if sign < 0 else out
+
+
+# ---------------------------------------------------------------------------
+# Chern classes: the closed-form exponential series
+
+
+_QUARTER = Fraction(1, 4)
+_ORACLE: list[GradedPoly] = []
+
+
+def chern_oracle(n: int) -> GradedPoly:
+    """c_n from c(t) - 1 = exp(sum_{m>=0} (beta h/4 - (m/2) gamma)
+    (beta/4)^{m-1} t^{2m+1}/(2m+1)), expanded as a truncated power series;
+    c_0 = 2 (the Giambelli convention)."""
+    if n < 0:
+        return GradedPoly.zero()
+    if n == 0:
+        return GradedPoly.constant(2)
+    if len(_ORACLE) <= n:
+        _ORACLE[:] = _exp_series(n)
+    return _ORACLE[n]
+
+
+def _exp_series(upto: int) -> list[GradedPoly]:
+    # S(t) has odd coefficients s_1 = h and, for m >= 1,
+    # s_{2m+1} = (beta h/4 - (m/2) gamma)(beta/4)^{m-1} / (2m+1).
+    s = [GradedPoly.zero() for _ in range(upto + 2)]
+    s[1] = H
+    m = 1
+    while 2 * m + 1 < len(s):
+        s[2 * m + 1] = (
+            (BETA * H * _QUARTER - GAMMA * Fraction(m, 2))
+            * BETA ** (m - 1)
+            * _QUARTER ** (m - 1)
+            * Fraction(1, 2 * m + 1)
+        )
+        m += 1
+    # E = exp(S) via (n+1) E_{n+1} = sum_j (j+1) s_{j+1} E_{n-j}.
+    e = [GradedPoly.one()]
+    for n in range(upto + 1):
+        acc = GradedPoly.zero()
+        for j in range(n + 1):
+            if not s[j + 1].is_zero():
+                acc = acc + s[j + 1] * e[n - j] * (j + 1)
+        e.append(acc * Fraction(1, n + 1))
+    return [GradedPoly.constant(2)] + e[1:]
+
+
+def beta4_closed_form(n: int) -> Fraction:
+    """Value of ct_n at beta = 4: central binomial ratio (2m)! / (4^m m!^2).
+
+    For n >= 2 the odd and even neighbors agree: ct_{2m} = ct_{2m+1}.
+    n = 0 gives 2 (the Giambelli convention) and n = 1 gives 1.
+    """
+    if n < 0:
+        raise ValueError("negative Chern index")
+    if n == 0:
+        return Fraction(2)
+    if n == 1:
+        return Fraction(1)
+    m = n // 2
+    return Fraction(binomial(2 * m, m), 4**m)
+
+
+# ---------------------------------------------------------------------------
+# the Hecke correspondence and intersection numbers
+
+
+def h_power_by_reduction(r: int) -> HeckeClass:
+    """h^r by iterating h^2 = alpha h - (alpha^2 - beta)/4."""
+    if r < 1:
+        raise ValueError("h_power needs r >= 1")
+    cur = HeckeClass(GradedPoly.one(), GradedPoly.zero())
+    for _ in range(r - 1):
+        # h * (f h + f') = (f alpha + f') h + f (beta - alpha^2)/4
+        cur = HeckeClass(
+            cur.f * ALPHA + cur.fprime,
+            cur.f * (BETA - ALPHA**2) * _QUARTER,
+        )
+    return cur
+
+
+def von_staudt_denominator(q: int) -> int:
+    """Denominator of B_q for even q >= 0: product of primes p with (p-1) | q."""
+    if q < 0 or q % 2 != 0:
+        raise ValueError(f"von Staudt-Clausen applies to even q >= 0, got {q}")
+    out = 1
+    for p in range(2, q + 2):
+        if is_prime(p) and q % (p - 1) == 0:
+            out *= p
+    return out
+
+
+def beta_rank1(g: int, d: int, k: int) -> int:
+    """Expected dimension of B(1,d,k): g - k(k - d + g - 1)."""
+    if g < 2:
+        raise ValueError("need g >= 2")
+    return g - k * (k - d + g - 1)
+
+
+# ---------------------------------------------------------------------------
+# P_k(1, 4, 0) mod p and Schur dimensions
+
+
+class Partition(tuple):
+    """Weakly decreasing tuple of nonnegative integers."""
+
+    def __new__(cls, parts):
+        parts = tuple(int(p) for p in parts)
+        if any(p < 0 for p in parts):
+            raise ValueError("partition parts must be nonnegative")
+        if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
+            raise ValueError("partition parts must be weakly decreasing")
+        return super().__new__(cls, parts)
+
+
+def schur_dim(lam, n: int) -> int:
+    """S_lambda(1, ..., 1) with n ones, by the hook-content product formula."""
+    parts = tuple(p for p in Partition(lam) if p > 0)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if len(parts) > n:
+        raise ValueError(f"partition has {len(parts)} rows > n = {n}")
+    num = 1
+    den = 1
+    for i, row in enumerate(parts):  # 0-based cell (i, j)
+        for j in range(row):
+            num *= n + j - i
+            arm = row - j - 1
+            leg = sum(1 for r in parts[i + 1 :] if r > j)
+            den *= arm + leg + 1
+    q, r = divmod(num, den)
+    if r:
+        raise AssertionError("hook-content product is not an integer")
+    return q
+
+
+def lemma35_check(k: int, p: int) -> bool:
+    """P_k(1,4,0) is a unit mod p for odd primes p > k.
+
+    Evaluates the determinant exactly, reduces mod p, and cross-checks the
+    residue against the closed form.
+    """
+    if not is_prime(p) or p == 2:
+        raise ValueError(f"p={p} is not an odd prime")
+    if p <= k:
+        raise ValueError(f"lemma needs p > k, got p={p}, k={k}")
+    value = pk_eval(k, 1, 4, 0)
+    if value.denominator % p == 0:
+        return False
+    (residue,) = reduce_mod([value], p)
+    (pred_residue,) = reduce_mod([closed_form_14(k)], p)
+    if residue != pred_residue:
+        raise AssertionError(
+            f"P_{k}(1,4,0) mod {p}: determinant gives {residue}, closed form {pred_residue}"
+        )
+    return residue != 0

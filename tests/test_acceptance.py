@@ -8,7 +8,7 @@ tolerances anywhere in this file.
 
 import pytest
 
-from heckebn.chern import beta4_closed_form, chern_full, chern_oracle, chern_tilde
+from heckebn.chern import chern_full, chern_tilde
 from heckebn.errors import InapplicablePrimeError, NegativeExpectedDimensionError
 from heckebn.giambelli import (
     closed_form_14,
@@ -24,6 +24,7 @@ from heckebn.modular import certify_mod, find_gpk, mj_mod, valid_primes_above
 from heckebn.poly import GradedPoly
 from heckebn.store import Store
 from heckebn.verdict import decide, emit_table
+from oracles import beta4_closed_form, chern_oracle
 
 
 def _report(num: int, label: str, ok: bool, detail: str = ""):

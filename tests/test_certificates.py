@@ -1,0 +1,97 @@
+"""Single-field mutations of valid certificates.
+
+verify(deep=True) must answer every mutant with a bool.  A mutant that still
+verifies must carry a true claim, which is confirmed here without the
+library's determinant engines: modular residues from P_k(1, beta, 0) reduced
+mod g0 and scaled by unit^k, rational pairings from P_k computed by
+fraction-free Bareiss.
+"""
+
+import dataclasses
+import functools
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from heckebn.giambelli import giambelli_matrix, pk_beta
+from heckebn.hecke import pair_with_monomial, rational_certificate
+from heckebn.modular import certify_mod
+from heckebn.numbers import is_prime
+from oracles import det_bareiss, reduce_mod
+
+
+@functools.lru_cache(maxsize=None)
+def _valid_certificates() -> tuple:
+    modular = [certify_mod(k, fallback=True) for k in range(1, 9)]
+    rational = [rational_certificate(g, k).certificate for g, k in ((5, 2), (8, 3))]
+    return tuple(modular + rational)
+
+
+@functools.lru_cache(maxsize=None)
+def _pk_bareiss(k: int):
+    return det_bareiss(giambelli_matrix(k, "full"))
+
+
+def _confirm_modular(c) -> None:
+    g, k = c.g0, c.k
+    e = 3 * g - 3 - k * (k + 1) // 2
+    assert is_prime(g) and g > 2 * k and e >= 0
+    unit_k = pow(math.factorial(g - 1) * 2 ** (g - 1), k, g)
+    coeffs = reduce_mod(pk_beta(k).polynomial.beta_coefficients(), g)
+    m = [x * unit_k % g for x in coeffs]
+
+    def m_at(j: int) -> int:
+        return m[j] if 0 <= j < len(m) else 0
+
+    if c.criterion == "e6.1":
+        idx = [0, (g - 1) // 2, g - 1]
+    else:
+        assert c.criterion == "e6.2" and 1 <= c.ell <= e // 2
+        idx = [(g - 1) // 2 - c.ell, g - 1 - c.ell]
+    assert sum(m_at(j) for j in idx) % g == c.witness_residue != 0
+
+
+def _confirm_rational(c) -> None:
+    value = pair_with_monomial(_pk_bareiss(c.k), c.monomial, c.g0)
+    assert value == c.witness_value != 0
+
+
+small_ints = st.integers(-3, 60)
+int_tuples = st.lists(small_ints, max_size=5).map(tuple)
+
+MUTATIONS = {
+    "kind": st.sampled_from(["modular", "rational"]),
+    "k": st.integers(-2, 10),
+    "g0": small_ints,
+    "criterion": st.sampled_from(["e6.1", "e6.2", "pairing", "", "E6.1"]),
+    "ell": st.integers(-2, 20),
+    "unit": st.none() | small_ints,
+    "witness_residue": st.none() | small_ints,
+    "m_indices": int_tuples,
+    "m_values": int_tuples,
+    "monomial": st.none() | int_tuples,
+    "witness_value": st.none() | st.fractions(-(10**6), 10**6, max_denominator=100),
+    "generated_by": st.text(max_size=8),
+}
+
+
+def test_valid_certificates_verify():
+    for cert in _valid_certificates():
+        assert cert.verify(deep=True), cert
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_single_field_mutation(data):
+    cert = data.draw(st.sampled_from(_valid_certificates()))
+    name = data.draw(st.sampled_from(sorted(MUTATIONS)))
+    mutant = dataclasses.replace(cert, **{name: data.draw(MUTATIONS[name])})
+    assert isinstance(mutant.verify(), bool)
+    ok = mutant.verify(deep=True)
+    assert isinstance(ok, bool)
+    if ok:
+        if mutant.kind == "modular":
+            _confirm_modular(mutant)
+        else:
+            _confirm_rational(mutant)

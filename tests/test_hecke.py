@@ -15,7 +15,6 @@ from heckebn.hecke import (
     IntersectionQuery,
     candidate_monomials,
     h_power,
-    h_power_by_reduction,
     integrate_over_H,
     lemma41_scan,
     rational_certificate,
@@ -23,6 +22,7 @@ from heckebn.hecke import (
     to_basis,
 )
 from heckebn.poly import ALPHA, BETA, GAMMA, H, GradedPoly
+from oracles import h_power_by_reduction
 
 
 def test_h_power_small():
@@ -69,8 +69,6 @@ def test_to_basis_examples():
 def test_hecke_class_validation():
     with pytest.raises(ValueError):
         HeckeClass(H, GradedPoly.zero())
-    with pytest.raises(ValueError):
-        HeckeClass(GradedPoly.one(5), GradedPoly.zero(5))
     c = HeckeClass(ALPHA**2, GAMMA)
     assert c.is_homogeneous(3)
     assert not c.is_homogeneous(4)
@@ -162,6 +160,18 @@ def test_verify_rejects_rational_monomial_of_wrong_degree():
         )
         assert not bad.verify()
         assert not bad.verify(deep=True)
+
+
+def test_verify_deep_above_pk_full_limit_returns_false():
+    # k = 13 is above PK_FULL_DEFAULT_LIMIT: the stored pairing is well formed,
+    # but a deep check cannot recompute it and must say so without raising
+    e = 3 * 40 - 3 - 13 * 14 // 2
+    cert = Certificate(
+        kind="rational", k=13, g0=40, criterion="pairing",
+        monomial=(1, 0, 0, e), witness_value=Fraction(5),
+    )
+    assert cert.verify() is True
+    assert cert.verify(deep=True) is False
 
 
 def test_rational_certificate_more_cases():

@@ -15,8 +15,8 @@ from heckebn.numbers import (
     is_prime,
     next_prime,
     parse_rational,
-    von_staudt_denominator,
 )
+from oracles import von_staudt_denominator
 
 
 def bernoulli_series_oracle(n_terms: int) -> list[Fraction]:

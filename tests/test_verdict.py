@@ -19,12 +19,12 @@ from heckebn.verdict import (
     GENERAL,
     PETRI,
     Verdict,
-    beta_rank1,
     beta_rank2,
     decide,
     emit_table,
     twisted_bounds,
 )
+from oracles import beta_rank1
 
 
 def test_beta_rank2():
@@ -41,6 +41,14 @@ def test_beta_rank1():
     assert beta_rank1(4, 2, 2) == -2
     for g in (2, 5, 9):
         assert beta_rank1(g, g - 1, 1) == g - 1
+
+
+def test_rational_fallback_skipped_above_pk_full_limit():
+    # (32, 13) has beta >= 0 and no modular certificate or gate; the pairing
+    # fallback would need P_13 over Q, which is above the default limit
+    v = decide(32, 13, rational_budget=8)
+    assert v.class_status == "UNKNOWN"
+    assert v == decide(32, 13)
 
 
 def test_first_unknown_case():
