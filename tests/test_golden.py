@@ -1,8 +1,10 @@
-"""Golden outputs: verdict table, Theorem 6.1 certificates and P_k(1, beta, 0).
+"""Golden outputs: verdict table, Theorem 6.1 certificates, P_k(1, beta, 0)
+and the trivariate P_k(h, beta, gamma).
 
 The digests are fixed: a change to any class polynomial, residue or verdict
 changes one of them.  P_k(1, beta, 0) is also checked off the interpolation
-nodes against the scalar evaluation pk_eval.
+nodes against the scalar evaluation pk_eval.  The P_k(h, beta, gamma)
+digests for k <= 9 were recorded from memoized Laplace expansion.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from heckebn.giambelli import pk_beta, pk_eval
+from heckebn.giambelli import pk_beta, pk_eval, pk_full
 from heckebn.modular import certify_mod
 from heckebn.numbers import format_rational
 from heckebn.store import Store
@@ -89,3 +91,25 @@ def test_pk_beta_off_node_values(x):
     # interpolation nodes are the integers 0..B; these points are not nodes
     for k in range(1, 15):
         assert pk_beta(k).polynomial.evaluate(beta=x) == pk_eval(k, 1, x, 0)
+
+
+# sha256 of json.dumps(pk_full(k).polynomial.to_json_obj())
+PK_FULL_DIGESTS = {
+    1: "7292bff3f32df1dc3890ef41019fad9993dfd48bedeb38c609b259aca4a03dc1",
+    2: "4fa8e5fb23c6ca0c392aacd08415b8e744933ce74e29c96f324c8231ddf8646a",
+    3: "539194f775aa6c0d2ac2d9a2f616f82eafcac8ca9115cba267c37c6cdb69889a",
+    4: "7b6821043f0ce943fd949b1e2fee98811ff2d3032018ed491249306b3f3998fb",
+    5: "980586c7c7682907e91797d276c2c1abfe29f798b6ecaa9f916f2c59b4d4bb98",
+    6: "63fa43b524248ba0e42e21c0265c7aeb8a40af555777f205eb48bb0af95a419d",
+    7: "1ec67f36e747e9952f2a73bff3c6fb29983aaede8e48620034989dc5d42b907e",
+    8: "9a1738c0b97cdb5bd599438e7d7d0d2c9ddaf9ba900a199c1f821d2d787325e3",
+    9: "f87af9c2fa314923e0c3afb162e483bca8b2415a58d4f7f8d5dd9759ab27687d",
+}
+
+
+def test_pk_full_digests():
+    got = {
+        k: sha256(json.dumps(pk_full(k).polynomial.to_json_obj()))
+        for k in PK_FULL_DIGESTS
+    }
+    assert got == PK_FULL_DIGESTS
