@@ -7,10 +7,11 @@ c_{<0} = 0, the four-term recurrence
                  - (beta h/4 + gamma/2) c_{n+1} - (beta/4)^2 n c_n
 
 holds for every n >= -3, so it also yields c_1 .. c_4.  `_chern_sequence`
-runs it over any coefficient ring: GradedPoly in h, beta, gamma for
-chern_full, GradedPoly in beta with h = 1, gamma = 0 for chern_tilde, and
-Fraction at a rational point for giambelli.pk_eval.  The Giambelli
-convention c_0 = 2 is applied on output.
+runs it over any coefficient ring: GradedPoly in beta at h = 1 and a fixed
+gamma for giambelli's slices of P_k (chern_tilde memoizes gamma = 0),
+Fraction at a rational point for pk_eval, and GradedPoly in h, beta, gamma
+for chern_full, the tests' trivariate reference.  The Giambelli convention
+c_0 = 2 is applied on output.
 
 tilde_mod_coeffs(n, g) reduces chern_tilde mod an odd prime g > n: every
 denominator divides a product of integers <= n and a power of 2, so it is a

@@ -20,7 +20,7 @@ from .modular import certify_mod, find_gk, find_gpk
 from .numbers import format_rational, parse_rational
 from .store import Store
 from .suites import SUITE_NAMES, run_suite
-from .verdict import GENERAL, emit_table
+from .verdict import emit_table
 
 __all__ = ["main", "build_parser"]
 

@@ -3,9 +3,14 @@
 P_k is the k x k determinant with entry(i, j) = c_{k - 2(i-1) + (j-1)}
 (1-based), where c is the Chern sequence, c_0 = 2 and c_{<0} = 0.  One row
 builder, giambelli_rows, lays out that matrix for every coefficient domain:
-trivariate polynomials (variant "full"), polynomials in beta with h = 1,
-gamma = 0 (variant "beta"), rationals at a point (pk_eval), and coefficient
-lists over F_g (modular.mj_mod).
+polynomials in beta at h = 1 and a fixed gamma, rationals at a point
+(pk_eval), and coefficient lists over F_g (modular.mj_mod).
+
+Both rational forms come from one engine.  The slice P_k(1, beta, gamma0) is
+det_interpolate of its rows; variant "beta" is the slice at gamma0 = 0.  No
+alpha occurs, so P_k is weighted homogeneous of weight W = k(k+1)/2 in h,
+beta, gamma (weights 1, 2, 3): variant "full" interpolates the slices at
+gamma0 = 0..floor(W/3) in gamma and restores h^(W - 2n - 3p).
 
 Structural facts checked here: the beta = 4 closed form
 (-1)^{delta(k)} 2^{-k(k-1)/2}, the degree bound floor(k^2/4) on the beta
@@ -14,20 +19,21 @@ specialization, and root multiplicities at beta = 1/i^2.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import tool_stamp
-from .chern import _chern_sequence, chern_full, chern_tilde
-from .poly import GradedPoly, PolyMatrix, det, det_numeric, root_multiplicity
+from .chern import _chern_sequence, chern_tilde
+from .poly import BETA, GradedPoly, _interp_nodes, det_interpolate, det_numeric
+from .poly import root_multiplicity
 
 __all__ = [
     "PK_FULL_DEFAULT_LIMIT",
     "PkRecord",
     "giambelli_rows",
-    "giambelli_matrix",
     "pk_full",
     "pk_beta",
     "pk_eval",
@@ -40,8 +46,8 @@ __all__ = [
     "conjecture_bound",
 ]
 
-# Symbolic trivariate determinants grow quickly; the rational-certificate
-# pipeline only ever needs small k, so larger k must be forced explicitly.
+# Largest k for the trivariate P_k; decide's pairing fallback and deep
+# verification of rational certificates stop there too.
 PK_FULL_DEFAULT_LIMIT = 12
 
 _lock = threading.Lock()
@@ -93,25 +99,12 @@ def giambelli_rows(k: int, c: list, zero) -> list[list]:
     ]
 
 
-def giambelli_matrix(k: int, variant: str = "full") -> PolyMatrix:
-    """k x k matrix with entry(i, j) = c_{k - 2(i-1) + (j-1)}, 1-based."""
-    chern = {"full": chern_full, "beta": chern_tilde}.get(variant)
-    if chern is None:
-        raise ValueError(f"unknown variant {variant!r}")
-    c = [chern(n) for n in range(2 * k)]
-    rows = giambelli_rows(k, c, GradedPoly.zero())
-    return PolyMatrix(tuple(tuple(row) for row in rows))
-
-
-def pk_full(k: int, store=None, force: bool = False) -> PkRecord:
+def pk_full(k: int, store=None) -> PkRecord:
     """Trivariate P_k(h, beta, gamma); homogeneous of half-degree k(k+1)/2."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k > PK_FULL_DEFAULT_LIMIT and not force:
-        raise ValueError(
-            f"trivariate P_k is limited to k <= {PK_FULL_DEFAULT_LIMIT} by default; "
-            "pass force=True to override"
-        )
+    if k > PK_FULL_DEFAULT_LIMIT:
+        raise ValueError(f"trivariate P_k is limited to k <= {PK_FULL_DEFAULT_LIMIT}")
     return _pk_cached(k, "full", store)
 
 
@@ -135,20 +128,48 @@ def _pk_cached(k: int, variant: str, store) -> PkRecord:
             with _lock:
                 _MEMO[(k, variant)] = rec
             return rec
-    matrix = giambelli_matrix(k, variant)
     if variant == "full":
-        algorithm = "minor-expansion"
+        poly, algorithm = _pk_trivariate(k), "evaluate-interpolate"
     else:
-        algorithm = "evaluate-interpolate" if matrix.symbols_used() else "numeric"
-    poly = det(matrix)
+        poly = _pk_slice(k, 0)
+        # P_1(1, beta, 0) = c_1 = 1 is a constant 1 x 1 determinant
+        algorithm = "numeric" if k == 1 else "evaluate-interpolate"
     rec = PkRecord(k, variant, poly, algorithm, created=time.time())
-    if variant == "full" and not poly.is_homogeneous(k * (k + 1) // 2):
-        raise AssertionError(f"P_{k} is not homogeneous of half-degree {k*(k+1)//2}")
     with _lock:
         _MEMO[(k, variant)] = rec
     if store is not None:
         store.put_pk_record(rec)
     return rec
+
+
+def _pk_slice(k: int, gamma0: int) -> GradedPoly:
+    """P_k(1, beta, gamma0) as a polynomial in beta; gamma0 = 0 reads chern_tilde."""
+    if gamma0 == 0:
+        c = [chern_tilde(n) for n in range(2 * k)]
+    else:
+        c = _chern_sequence([GradedPoly.one()], 2 * k - 1, 1, BETA, gamma0)
+        c[0] = GradedPoly.constant(2)
+    return det_interpolate(giambelli_rows(k, c, GradedPoly.zero()))
+
+
+def _pk_trivariate(k: int) -> GradedPoly:
+    """P_k(h, beta, gamma) from its slices at gamma0 = 0..floor(W/3)."""
+    w = k * (k + 1) // 2
+    slices = [_pk_slice(k, g0).beta_coefficients() for g0 in range(w // 3 + 1)]
+    terms = {}
+    for n in range(max(map(len, slices))):
+        ys = [s[n] if n < len(s) else Fraction(0) for s in slices]
+        den = math.lcm(*(y.denominator for y in ys))
+        nums = [y.numerator * (den // y.denominator) for y in ys]
+        for p, c in enumerate(_interp_nodes(nums, den)):
+            if not c:
+                continue
+            if 2 * n + 3 * p > w:
+                raise AssertionError(
+                    f"P_{k} has a term beta^{n} gamma^{p} of weight above {w}"
+                )
+            terms[(w - 2 * n - 3 * p, 0, n, p)] = c
+    return GradedPoly(terms)
 
 
 def pk_eval(k: int, h0, beta0, gamma0) -> Fraction:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .certificates import Certificate
+from .certificates import Certificate, _e61_indices, _e62_indices
 from .chern import tilde_mod_coeffs
 from .errors import InapplicablePrimeError
 from .giambelli import giambelli_rows
@@ -113,8 +113,7 @@ def mj_mod(k: int, g: int) -> ModularRun:
 
 def criterion_e61(run: ModularRun) -> tuple[int, bool]:
     """Residue M_0 + M_{(g-1)/2} + M_{g-1} mod g and whether it is nonzero."""
-    g = run.g
-    residue = (run.m_at(0) + run.m_at((g - 1) // 2) + run.m_at(g - 1)) % g
+    residue = sum(run.m_at(i) for i in _e61_indices(run.g)) % run.g
     return residue, residue != 0
 
 
@@ -124,8 +123,7 @@ def criterion_e62(run: ModularRun, ell: int) -> tuple[int, bool]:
         raise ValueError(
             f"ell={ell} outside 1..{max(run.e // 2, 0)} for e={run.e}"
         )
-    g = run.g
-    residue = (run.m_at((g - 1) // 2 - ell) + run.m_at(g - 1 - ell)) % g
+    residue = sum(run.m_at(i) for i in _e62_indices(run.g, ell)) % run.g
     return residue, residue != 0
 
 
@@ -163,34 +161,28 @@ def certify_mod(k: int, g: int | None = None, fallback: bool = False) -> Certifi
     run = mj_mod(k, g)
     residue, ok = criterion_e61(run)
     if ok:
-        idx = [0, (g - 1) // 2, g - 1]
-        return Certificate(
-            kind="modular",
-            k=k,
-            g0=g,
-            criterion="e6.1",
-            ell=0,
-            unit=run.unit,
-            witness_residue=residue,
-            m_indices=tuple(idx),
-            m_values=tuple(run.m_at(i) for i in idx),
-        )
+        return _certificate(run, "e6.1", 0, _e61_indices(g), residue)
     for ell in range(1, run.e // 2 + 1):
         residue, ok = criterion_e62(run, ell)
         if ok:
-            idx = [i for i in ((g - 1) // 2 - ell, g - 1 - ell) if i >= 0]
-            return Certificate(
-                kind="modular",
-                k=k,
-                g0=g,
-                criterion="e6.2",
-                ell=ell,
-                unit=run.unit,
-                witness_residue=residue,
-                m_indices=tuple(idx),
-                m_values=tuple(run.m_at(i) for i in idx),
-            )
+            return _certificate(run, "e6.2", ell, _e62_indices(g, ell), residue)
     return None
+
+
+def _certificate(
+    run: ModularRun, criterion: str, ell: int, idx: list[int], residue: int
+) -> Certificate:
+    return Certificate(
+        kind="modular",
+        k=run.k,
+        g0=run.g,
+        criterion=criterion,
+        ell=ell,
+        unit=run.unit,
+        witness_residue=residue,
+        m_indices=tuple(idx),
+        m_values=tuple(run.m_at(i) for i in idx),
+    )
 
 
 def theorem43_gate(g: int, k: int) -> bool:

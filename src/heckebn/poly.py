@@ -4,12 +4,12 @@ Coefficients are rationals (stdlib Fraction).  The grading gives h and alpha
 weight 1, beta weight 2, gamma weight 3 ("half-degree": all geometric
 classes here have even cohomological degree).
 
-Determinants get an engine per shape: integer Bareiss for constant
-matrices, evaluation/interpolation for univariate ones, and memoized Laplace
-expansion along the sparse bottom rows for genuinely multivariate ones.
-Interpolation runs in Python integers: rows scaled to integer coefficients,
-every entry evaluated at each node by Horner's rule, integer Bareiss at each
-node, and Newton's forward differences over one common denominator.
+Rational determinants: det_numeric (integer Bareiss) for scalar matrices and
+det_interpolate for matrices of polynomials in beta, which runs in Python
+integers: rows scaled to integer coefficients, every entry evaluated at each
+node by Horner's rule, integer Bareiss at each node, and Newton's forward
+differences over one common denominator.  det_minor_expansion, Laplace
+expansion in any symbols, is the tests' reference and on no library path.
 
 Prime-field work never builds a polynomial object: det_mod_univariate takes
 coefficient lists over F_p[x] and runs a dense coefficient-vector Bareiss.
@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -36,7 +36,6 @@ __all__ = [
     "Monomial",
     "GradedPoly",
     "PolyMatrix",
-    "det",
     "det_minor_expansion",
     "det_numeric",
     "det_interpolate",
@@ -348,19 +347,14 @@ class PolyMatrix:
     def n(self) -> int:
         return len(self.entries)
 
-    def symbols_used(self) -> set[str]:
-        out: set[str] = set()
-        for row in self.entries:
-            for p in row:
-                out |= p.symbols_used()
-        return out
-
 
 def det_minor_expansion(m: PolyMatrix) -> GradedPoly:
     """Laplace expansion along bottom rows, memoized on remaining column sets.
 
-    The bottom rows of the matrices this package builds are the sparsest, so
-    expanding there keeps the number of distinct cofactors small.
+    Any number of symbols may occur.  This is the tests' reference for
+    det_interpolate and the trivariate P_k; no library code calls it.  The
+    bottom rows of Giambelli matrices are the sparsest, so expanding there
+    keeps the number of distinct cofactors small.
     """
     entries = m.entries
     memo: dict[frozenset, GradedPoly] = {}
@@ -434,41 +428,36 @@ def det_numeric(rows: list[list[int | Fraction]]) -> Fraction:
     return Fraction(_det_bareiss_int(int_rows), factor)
 
 
-def det_interpolate(m: PolyMatrix, name: str | None = None) -> GradedPoly:
-    """Univariate determinant by evaluation at 0..B and interpolation.
+def det_interpolate(rows: Sequence[Sequence[GradedPoly]]) -> GradedPoly:
+    """Determinant of a square matrix of polynomials in beta, by evaluation at
+    0..B and interpolation.
 
     B is the generic row-degree bound sum(max_j deg entry(i, j)); the true
     determinant degree can be smaller, which interpolation detects on its own.
     All work is in integers: each row is scaled by the lcm of its coefficient
     denominators, every entry is evaluated at each node by Horner's rule,
     det_numeric takes the integer matrix, and _interp_nodes turns the node
-    values into coefficients over one common denominator.
+    values into coefficients over one common denominator.  An entry in any
+    other symbol raises ValueError.
     """
-    syms = m.symbols_used()
-    if name is None:
-        if len(syms) > 1:
-            raise ValueError(f"matrix is not univariate: uses {sorted(syms)}")
-        name = next(iter(syms)) if syms else "beta"
-    elif not syms <= {name}:
-        raise ValueError(f"matrix uses symbols {sorted(syms)} besides {name}")
     bound = 0
     denom = 1
     scaled_rows = []
-    for row in m.entries:
-        d = max(p.degree_in(name) for p in row)
+    for row in rows:
+        d = max(p.degree_in("beta") for p in row)
         if d < 0:
             return GradedPoly.zero()
         bound += d
         l = math.lcm(*(c.denominator for p in row for c in p.coeffs.values()))
         denom *= l
         scaled_rows.append(
-            [[c.numerator * (l // c.denominator) for c in p.coeffs_in(name)] for p in row]
+            [[c.numerator * (l // c.denominator) for c in p.coeffs_in("beta")] for p in row]
         )
     ys = []
     for x in range(bound + 1):
-        rows = [[_horner(e, x) for e in row] for row in scaled_rows]
-        ys.append(det_numeric(rows).numerator)
-    return poly_from_coeffs(_interp_nodes(ys, denom), name)
+        values = [[_horner(e, x) for e in row] for row in scaled_rows]
+        ys.append(det_numeric(values).numerator)
+    return poly_from_coeffs(_interp_nodes(ys, denom))
 
 
 def _horner(coeffs: list[int], x: int) -> int:
@@ -625,21 +614,6 @@ def det_mod_univariate(coeff_rows: list[list[list[int]]], p: int) -> list[int]:
     if sign < 0:
         out = [(-c) % p for c in out]
     return out if out else [0]
-
-
-def det(m: PolyMatrix) -> GradedPoly:
-    """Determinant, with the engine chosen by the matrix's shape.
-
-    Constant matrices go to integer Bareiss, univariate ones to
-    evaluation/interpolation, multivariate ones to minor expansion.
-    """
-    syms = m.symbols_used()
-    if not syms:
-        rows = [[p.coefficient_of(_ZERO_MONO) for p in row] for row in m.entries]
-        return GradedPoly.constant(det_numeric(rows))
-    if len(syms) == 1:
-        return det_interpolate(m)
-    return det_minor_expansion(m)
 
 
 def root_multiplicity(p: GradedPoly, root: Fraction | int, name: str = "beta") -> int:

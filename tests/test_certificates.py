@@ -14,10 +14,12 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckebn.giambelli import giambelli_matrix, pk_beta
+from heckebn.chern import chern_full
+from heckebn.giambelli import giambelli_rows, pk_beta
 from heckebn.hecke import pair_with_monomial, rational_certificate
 from heckebn.modular import certify_mod
 from heckebn.numbers import is_prime
+from heckebn.poly import GradedPoly, PolyMatrix
 from oracles import det_bareiss, reduce_mod
 
 
@@ -30,7 +32,8 @@ def _valid_certificates() -> tuple:
 
 @functools.lru_cache(maxsize=None)
 def _pk_bareiss(k: int):
-    return det_bareiss(giambelli_matrix(k, "full"))
+    c = [chern_full(n) for n in range(2 * k)]
+    return det_bareiss(PolyMatrix.build(giambelli_rows(k, c, GradedPoly.zero())))
 
 
 def _confirm_modular(c) -> None:

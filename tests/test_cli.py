@@ -52,6 +52,13 @@ def test_pk_json(capsys):
     assert terms[(0, 0, 0, 1)] == "1/3"
 
 
+def test_pk_full_limit_message(capsys):
+    # the CLI has no way to lift the limit, so the message names only the limit
+    code, out, err = run_cli(capsys, "pk", "--k", "13", "--variant", "full")
+    assert code == 2 and out == ""
+    assert "limited to k <= 12" in err and "force" not in err
+
+
 def test_thaddeus(capsys):
     code, out, _ = run_cli(
         capsys, "thaddeus", "--g", "2", "--m", "3", "--n", "0", "--p", "0"

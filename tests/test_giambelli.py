@@ -15,7 +15,7 @@ from heckebn.giambelli import (
     conjecture_bound,
     degree_check,
     delta_parity,
-    giambelli_matrix,
+    giambelli_rows,
     lemma37_bound,
     multiplicity_profile,
     pk_beta,
@@ -28,27 +28,24 @@ from oracles import Partition, lemma35_check, schur_dim
 
 
 def test_matrix_layout():
-    m1 = giambelli_matrix(1)
-    assert m1.entries[0][0] == chern_full(1)
-    m2 = giambelli_matrix(2)
-    assert m2.entries[0] == (chern_full(2), chern_full(3))
-    assert m2.entries[1] == (chern_full(0), chern_full(1))
-    m3 = giambelli_matrix(3, "beta")
-    assert m3.entries[0] == (chern_tilde(3), chern_tilde(4), chern_tilde(5))
-    assert m3.entries[2] == (
-        GradedPoly.zero(),
-        GradedPoly.constant(2),
-        GradedPoly.one(),
-    )
+    zero = GradedPoly.zero()
+    full = [chern_full(n) for n in range(4)]
+    assert giambelli_rows(1, full, zero) == [[chern_full(1)]]
+    assert giambelli_rows(2, full, zero) == [
+        [chern_full(2), chern_full(3)],
+        [chern_full(0), chern_full(1)],
+    ]
+    tilde = [chern_tilde(n) for n in range(14)]
+    m3 = giambelli_rows(3, tilde, zero)
+    assert m3[0] == [chern_tilde(3), chern_tilde(4), chern_tilde(5)]
+    assert m3[2] == [zero, GradedPoly.constant(2), GradedPoly.one()]
     # bottom row is (0, ..., 0, 2, 1) for every k >= 2
     for k in (2, 4, 7):
-        bottom = giambelli_matrix(k, "beta").entries[-1]
-        assert bottom[:-2] == tuple(GradedPoly.zero() for _ in range(k - 2))
-        assert bottom[-2:] == (GradedPoly.constant(2), GradedPoly.one())
+        bottom = giambelli_rows(k, tilde, zero)[-1]
+        assert bottom[:-2] == [zero] * (k - 2)
+        assert bottom[-2:] == [GradedPoly.constant(2), GradedPoly.one()]
     with pytest.raises(ValueError):
-        giambelli_matrix(0)
-    with pytest.raises(ValueError):
-        giambelli_matrix(3, "hat")  # only "full" and "beta" exist
+        giambelli_rows(0, tilde, zero)
 
 
 def test_pk_full_small():
@@ -62,7 +59,7 @@ def test_pk_full_small():
 def test_pk_full_homogeneous_and_limit():
     for k in range(1, 7):
         assert pk_full(k).polynomial.is_homogeneous(k * (k + 1) // 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="limited to k <= 12"):
         pk_full(13)
 
 
@@ -73,7 +70,7 @@ def test_pk_beta_values():
 
 
 def test_pk_full_specializes_to_pk_beta():
-    for k in range(1, 9):
+    for k in range(1, 13):
         assert pk_full(k).polynomial.substitute(h=1, gamma=0) == pk_beta(k).polynomial
 
 

@@ -4,13 +4,16 @@ and the trivariate P_k(h, beta, gamma).
 The digests are fixed: a change to any class polynomial, residue or verdict
 changes one of them.  P_k(1, beta, 0) is also checked off the interpolation
 nodes against the scalar evaluation pk_eval.  The P_k(h, beta, gamma)
-digests for k <= 9 were recorded from memoized Laplace expansion.
+digests for k <= 9 were recorded from memoized Laplace expansion; above
+that, P_k(h, beta, gamma) is checked against pk_eval at rational points off
+the interpolation slices (h = 1, integer gamma).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -113,3 +116,19 @@ def test_pk_full_digests():
         for k in PK_FULL_DIGESTS
     }
     assert got == PK_FULL_DIGESTS
+
+
+def _off_slice_point(rng: random.Random) -> tuple[Fraction, Fraction, Fraction]:
+    while True:
+        h, beta, gamma = (Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3))
+        if h != 1 and gamma.denominator > 1:
+            return h, beta, gamma
+
+
+@pytest.mark.parametrize("k", [10, 11, 12])
+def test_pk_full_off_slice_values(k):
+    rng = random.Random(1000 + k)
+    poly = pk_full(k).polynomial
+    for _ in range(6):
+        h, beta, gamma = _off_slice_point(rng)
+        assert poly.evaluate(h=h, beta=beta, gamma=gamma) == pk_eval(k, h, beta, gamma)

@@ -20,7 +20,6 @@ from heckebn.poly import (
     H,
     GradedPoly,
     PolyMatrix,
-    det,
     det_interpolate,
     det_minor_expansion,
     det_mod_univariate,
@@ -97,12 +96,14 @@ def test_exact_div():
 
 
 def test_det_small_examples():
-    assert det(PolyMatrix.build([[1]])) == 1
+    assert det_interpolate(PolyMatrix.build([[1]]).entries) == 1
+    assert det_numeric([[1]]) == 1
     m = PolyMatrix.build([[BETA, 1], [4, BETA]])
-    assert det(m) == BETA**2 - 4
+    assert det_interpolate(m.entries) == BETA**2 - 4
     # row swap flips the sign
     m2 = PolyMatrix.build([[4, BETA], [BETA, 1]])
-    assert det(m2) == -(BETA**2 - 4)
+    assert det_interpolate(m2.entries) == -(BETA**2 - 4)
+    assert det_minor_expansion(m2) == det_bareiss(m2) == -(BETA**2 - 4)
 
 
 def _random_poly(rng: random.Random, symbols: int) -> GradedPoly:
@@ -120,10 +121,7 @@ def test_det_engines_agree_multivariate():
     for _ in range(8):
         rows = [[_random_poly(rng, 4) for _ in range(4)] for _ in range(4)]
         m = PolyMatrix.build(rows)
-        d1 = det_minor_expansion(m)
-        d2 = det_bareiss(m)
-        d3 = det(m)
-        assert d1 == d2 == d3
+        assert det_minor_expansion(m) == det_bareiss(m)
 
 
 def test_det_engines_agree_univariate():
@@ -134,7 +132,7 @@ def test_det_engines_agree_univariate():
             for _ in range(4)
         ]
         m = PolyMatrix.build(rows)
-        assert det_interpolate(m) == det_minor_expansion(m) == det(m)
+        assert det_interpolate(m.entries) == det_minor_expansion(m) == det_bareiss(m)
 
 
 # Reference interpolation path: the symbolic one det_interpolate replaced.  It
@@ -206,7 +204,7 @@ def rational_univariate_matrices(draw):
 @settings(max_examples=100, deadline=None)
 @given(rational_univariate_matrices())
 def test_det_interpolate_matches_reference(m):
-    got = det_interpolate(m, "beta")
+    got = det_interpolate(m.entries)
     assert got == ref_det_interpolate(m) == det_minor_expansion(m)
 
 
@@ -338,7 +336,8 @@ def _integer_matrix(coeff_rows) -> PolyMatrix:
 
 def _rational_det_mod(coeff_rows, p: int) -> list[int]:
     """The rational determinant of the same integer matrix, reduced mod p."""
-    return _ref_trim(reduce_mod(det(_integer_matrix(coeff_rows)).beta_coefficients(), p))
+    d = det_interpolate(_integer_matrix(coeff_rows).entries)
+    return _ref_trim(reduce_mod(d.beta_coefficients(), p))
 
 
 PRIMES = (3, 5, 7, 101, 1009)
@@ -488,10 +487,19 @@ def test_det_numeric_rejects_floats():
 
 def test_det_singular_and_zero_column():
     m = PolyMatrix.build([[H, H], [H, H]])
-    assert det(m).is_zero()
+    assert det_minor_expansion(m).is_zero()
+    assert det_bareiss(m).is_zero()
     m2 = PolyMatrix.build([[0, H], [0, H**2]])
     assert det_bareiss(m2).is_zero()
     assert det_minor_expansion(m2).is_zero()
+
+
+def test_det_interpolate_rejects_other_symbols():
+    # beta is det_interpolate's only variable; h or gamma raise from coeffs_in
+    with pytest.raises(ValueError):
+        det_interpolate([[H, BETA], [1, BETA]])
+    with pytest.raises(ValueError):
+        det_interpolate([[BETA + GAMMA]])
 
 
 def test_root_multiplicity():
