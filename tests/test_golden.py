@@ -1,5 +1,5 @@
-"""Golden outputs: verdict table, Theorem 6.1 certificates, P_k(1, beta, 0)
-and the trivariate P_k(h, beta, gamma).
+"""Golden outputs: verdict table, Theorem 6.1 certificates, P_k(1, beta, 0),
+the trivariate P_k(h, beta, gamma), rational certificates and pairings.
 
 The digests are fixed: a change to any class polynomial, residue or verdict
 changes one of them.  P_k(1, beta, 0) is also checked off the interpolation
@@ -12,6 +12,7 @@ the interpolation slices (h = 1, integer gamma).
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -19,6 +20,7 @@ from fractions import Fraction
 import pytest
 
 from heckebn.giambelli import pk_beta, pk_eval, pk_full
+from heckebn.hecke import candidate_monomials, pair_with_monomial, rational_certificate
 from heckebn.modular import certify_mod
 from heckebn.numbers import format_rational
 from heckebn.store import Store
@@ -132,3 +134,47 @@ def test_pk_full_off_slice_values(k):
     for _ in range(6):
         h, beta, gamma = _off_slice_point(rng)
         assert poly.evaluate(h=h, beta=beta, gamma=gamma) == pk_eval(k, h, beta, gamma)
+
+
+# Certificate.hash() of rational_certificate(g, k, budget=8); recorded from the
+# pairing that expanded each h^r in the basis {1, h}
+RATIONAL_HASHES = {
+    (5, 2): "1c6d686cc72c045a635b89319d30362488cf762be4d4ddfac948825d6f9b3917",
+    (8, 3): "90c193f86a75981085b6136923817ba33ab9fe75e3202708a67edad1c42e1482",
+    (12, 4): "9b34bcc8e201de506ae486f16ea06fc71fd6954ef20c605d280624c0facc3f4d",
+    (16, 5): "03e66fba1771bf8b5dc5cd12c59ae4b7fb21aabc1420d7da392d1a3635a2fbf9",
+    (22, 6): "84b28df31051e24121c3fecc94964bb9f4c97641e7e2a687fb8cd72fa87ec154",
+    (13, 8): "2155ddcd0acf37639e941f88c847764717bd4d9bd2ed4c59cfad12ce6672edd4",
+    (16, 9): "396e76f5249f79ef997994c4e1e90f49e551538da94c39cf2f304bfd9f3e8ad1",
+    (20, 10): "42af130051fb0684328e5f7f1edd3e21895c2ab885df0135c9adde9ec4b120c6",
+    (27, 12): "c286d268ddb1afd91db66e2ef2c7de339f78311eda2736f8935ae0bb9ffdb210",
+    (28, 12): "aabbfc8a120cb5928e099de0f56055ecfc4947684932007a38fc48153388e206",
+}
+
+
+def test_rational_certificate_hashes():
+    got = {gk: rational_certificate(*gk, budget=8).certificate.hash() for gk in RATIONAL_HASHES}
+    assert got == RATIONAL_HASHES
+
+
+# sha256 of json.dumps of the format_rational pairings of P_k with the first
+# 20 candidate monomials at (g, k); the lists hold zeros and monomials other
+# than alpha h^e
+PAIRING_DIGESTS = {
+    (8, 3): "fd356209beedd3dbafa47f61657bc9064c2d37da22c795108fb8c060b07b9d5d",
+    (12, 4): "661b7a002811706ce88b18ce67c9a3c17e37319da7f95de3aa51a9e471d83bda",
+    (22, 6): "317e18cdf6b939158b6bc064efbfce01f969a6043bb01169a12cb0a6ba3b658f",
+    (15, 8): "4b0bb4459f637412169101a083bc34fe465072ac163f203dbd49232350db6b0f",
+}
+
+
+def test_pairing_digests():
+    got = {}
+    for g, k in PAIRING_DIGESTS:
+        pk = pk_full(k).polynomial
+        e = 3 * g - 3 - k * (k + 1) // 2
+        monos = itertools.islice(candidate_monomials(e), 20)
+        got[g, k] = sha256(
+            json.dumps([format_rational(pair_with_monomial(pk, m, g)) for m in monos])
+        )
+    assert got == PAIRING_DIGESTS
