@@ -1,18 +1,26 @@
-"""Cohomology of the Hecke correspondence: basis expansion and pairings.
+"""Pairings over the Hecke correspondence H and Thaddeus' intersection numbers.
 
 The cohomology of H is a free rank-2 module over the base ring in alpha,
 beta, gamma with basis {1, h} and the single relation
-h^2 = alpha h - (alpha^2 - beta)/4.  Every class is written f h + f', and
-integration over H reads off f (the fibers of the second projection are
-lines, normalized so the fiber degree of h is 1) and evaluates it against
-the closed-form intersection numbers
+h^2 = alpha h - (alpha^2 - beta)/4.  Integration over H reads off the
+h-coefficient (the fibers of the second projection are lines, normalized so
+the fiber degree of h is 1).  By the binomial closed form the h-coefficient
+of h^R is
+
+  2^{1-R} sum_{i odd <= R} C(R, i) alpha^{R-i} beta^{(i-1)/2},
+
+so pairing P_k with alpha^a beta^b gamma^c h^d is one linear functional of
+the terms of P_k: each term h^r alpha^m beta^n gamma^p, with R = r + d,
+spreads over the monomials alpha^{m+a+R-i} beta^{n+b+(i-1)/2} gamma^{p+c},
+and these are evaluated against the closed-form intersection numbers
 
   (alpha^m beta^n gamma^p)
       = (-1)^{g-p} (g! m!)/((g-p)! q!) 2^{2g-2-p} (2^q - 2) B_q,
 
 valid when m + 2n + 3p = 3g - 3, with q = m + p + 1 - g and B_q = 0 for
-q < 0.  The parity of the degree condition forces q even, so the odd-index
-Bernoulli convention is never consulted; an assertion guards this.
+q < 0.  No class object in the basis {1, h} is built.  The parity of the
+degree condition forces q even, so the odd-index Bernoulli convention is
+never consulted; an assertion guards this.
 
 A rational certificate pairs the class polynomial P_k against monomials of
 complementary degree and records the first nonzero value in a fixed order:
@@ -31,15 +39,10 @@ from .certificates import Certificate
 from .errors import NegativeExpectedDimensionError
 from .giambelli import pk_full
 from .numbers import bernoulli, binomial, is_prime
-from .poly import ALPHA, GradedPoly
+from .poly import GradedPoly
 
 __all__ = [
-    "HeckeClass",
-    "h_power",
-    "to_basis",
-    "IntersectionQuery",
     "thaddeus_number",
-    "integrate_over_H",
     "candidate_monomials",
     "RationalWitness",
     "rational_certificate",
@@ -49,104 +52,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HeckeClass:
-    """A class f h + f' with f, f' polynomials in alpha, beta, gamma only."""
-
-    f: GradedPoly
-    fprime: GradedPoly
-
-    def __post_init__(self):
-        for part, label in ((self.f, "f"), (self.fprime, "f'")):
-            if part.degree_in("h") > 0:
-                raise ValueError(f"component {label} must not contain h")
-
-    def __add__(self, other: HeckeClass) -> HeckeClass:
-        return HeckeClass(self.f + other.f, self.fprime + other.fprime)
-
-    def scale(self, q: GradedPoly) -> HeckeClass:
-        """Multiply by an h-free polynomial (module structure over the base)."""
-        return HeckeClass(self.f * q, self.fprime * q)
-
-    def is_homogeneous(self, d: int) -> bool:
-        return self.f.is_homogeneous(d - 1) and self.fprime.is_homogeneous(d)
-
-
-_H_POWERS: dict[int, HeckeClass] = {}
-
-
-def h_power(r: int) -> HeckeClass:
-    """h^r in the basis {1, h}, by the binomial closed form.
-
-    f  = 2^{1-r} sum_{i odd <= r} C(r,i) alpha^{r-i} beta^{(i-1)/2}
-    f' = 2^{-r} (sum_{i even <= r} C(r,i) alpha^{r-i} beta^{i/2} - alpha f 2^{r-1})
-    """
-    if r < 1:
-        raise ValueError("h_power needs r >= 1")
-    got = _H_POWERS.get(r)
-    if got is not None:
-        return got
-    odd_sum = GradedPoly.zero()
-    even_sum = GradedPoly.zero()
-    for i in range(r + 1):
-        term = GradedPoly.monomial(
-            (0, r - i, (i - 1) // 2 if i % 2 else i // 2, 0), binomial(r, i)
-        )
-        if i % 2:
-            odd_sum = odd_sum + term
-        else:
-            even_sum = even_sum + term
-    f = odd_sum * Fraction(1, 2 ** (r - 1))
-    fprime = (even_sum - ALPHA * odd_sum) * Fraction(1, 2**r)
-    out = HeckeClass(f, fprime)
-    _H_POWERS[r] = out
-    return out
-
-
-def to_basis(q: GradedPoly) -> HeckeClass:
-    """Rewrite an arbitrary polynomial in h, alpha, beta, gamma as f h + f'."""
-    f = GradedPoly.zero()
-    fprime = GradedPoly.zero()
-    for mono, c in q.items():
-        r = mono[0]
-        rest = GradedPoly.monomial((0, mono[1], mono[2], mono[3]), c)
-        if r == 0:
-            fprime = fprime + rest
-        else:
-            hp = h_power(r)
-            f = f + rest * hp.f
-            fprime = fprime + rest * hp.fprime
-    return HeckeClass(f, fprime)
-
-
-@dataclass(frozen=True)
-class IntersectionQuery:
-    """Monomial degrees (m, n, p) paired at genus g; m + 2n + 3p = 3g - 3."""
-
-    g: int
-    m: int
-    n: int
-    p: int
-
-    def __post_init__(self):
-        if self.g < 2:
-            raise ValueError("genus must be >= 2")
-        if min(self.m, self.n, self.p) < 0:
-            raise ValueError("exponents must be nonnegative")
-        if self.m + 2 * self.n + 3 * self.p != 3 * self.g - 3:
-            raise ValueError(
-                f"degree condition violated: {self.m} + 2*{self.n} + 3*{self.p}"
-                f" != {3 * self.g - 3}"
-            )
-
-
-def thaddeus_number(g: int, m: int | None = None, n: int | None = None, p: int | None = None) -> Fraction:
+def thaddeus_number(g: int, m: int, n: int, p: int) -> Fraction:
     """Exact intersection number (alpha^m beta^n gamma^p) at genus g."""
-    if isinstance(g, IntersectionQuery):
-        q_ = g
-    else:
-        q_ = IntersectionQuery(g, m, n, p)
-    q = q_.m + q_.p + 1 - q_.g
+    if g < 2:
+        raise ValueError("genus must be >= 2")
+    if min(m, n, p) < 0:
+        raise ValueError("exponents must be nonnegative")
+    if m + 2 * n + 3 * p != 3 * g - 3:
+        raise ValueError(
+            f"degree condition violated: {m} + 2*{n} + 3*{p} != {3 * g - 3}"
+        )
+    q = m + p + 1 - g
     if q < 0:
         return Fraction(0)
     assert q % 2 == 0, "odd q is unreachable under the degree condition"
@@ -154,29 +70,11 @@ def thaddeus_number(g: int, m: int | None = None, n: int | None = None, p: int |
     if b == 0:
         return Fraction(0)
     lead = Fraction(
-        math.factorial(q_.g) * math.factorial(q_.m),
-        math.factorial(q_.g - q_.p) * math.factorial(q),
+        math.factorial(g) * math.factorial(m),
+        math.factorial(g - p) * math.factorial(q),
     )
-    value = lead * 2 ** (2 * q_.g - 2 - q_.p) * (2**q - 2) * b
-    return -value if (q_.g - q_.p) % 2 else value
-
-
-def integrate_over_H(c: HeckeClass, g: int) -> Fraction:
-    """Pair a class of half-degree 3g - 2 with the fundamental class of H.
-
-    Only the h-component f contributes; it must be homogeneous of
-    half-degree 3g - 3.
-    """
-    if g < 2:
-        raise ValueError("genus must be >= 2")
-    if not c.f.is_homogeneous(3 * g - 3):
-        raise ValueError(
-            f"f must be homogeneous of half-degree {3 * g - 3}, got weights {sorted(c.f.weights())}"
-        )
-    total = Fraction(0)
-    for mono, coeff in c.f.items():
-        total += coeff * thaddeus_number(g, mono[1], mono[2], mono[3])
-    return total
+    value = lead * 2 ** (2 * g - 2 - p) * (2**q - 2) * b
+    return -value if (g - p) % 2 else value
 
 
 def candidate_monomials(e: int) -> Iterator[tuple[int, int, int, int]]:
@@ -203,10 +101,32 @@ def candidate_monomials(e: int) -> Iterator[tuple[int, int, int, int]]:
 def pair_with_monomial(
     pk: GradedPoly, monomial: tuple[int, int, int, int], g: int
 ) -> Fraction:
-    """Integrate P_k times alpha^a beta^b gamma^c h^d over H."""
+    """Integrate P_k times alpha^a beta^b gamma^c h^d over H.
+
+    Every term of the product must have half-degree 3g - 2.  Only the
+    h-coefficient of each h^R contributes; terms free of h pair to zero.
+    """
+    if g < 2:
+        raise ValueError("genus must be >= 2")
     a, b, c, d = monomial
-    prod = pk * GradedPoly.monomial((d, a, b, c))
-    return integrate_over_H(to_basis(prod), g)
+    if min(a, b, c, d) < 0:
+        raise ValueError(f"monomial exponents must be nonnegative, got {tuple(monomial)}")
+    top = 3 * g - 2
+    f: dict[tuple[int, int, int], Fraction] = {}
+    for (r, m, n, p), coeff in pk.items():
+        big_r = r + d
+        weight = big_r + m + a + 2 * (n + b) + 3 * (p + c)
+        if weight != top:
+            raise ValueError(
+                f"the product must be homogeneous of half-degree {top}, a term has {weight}"
+            )
+        scale = 2 * coeff / 2**big_r
+        for i in range(1, big_r + 1, 2):
+            key = (m + a + big_r - i, n + b + (i - 1) // 2, p + c)
+            f[key] = f.get(key, 0) + scale * binomial(big_r, i)
+    return sum(
+        (v * thaddeus_number(g, *key) for key, v in f.items() if v), Fraction(0)
+    )
 
 
 @dataclass(frozen=True)
@@ -222,11 +142,13 @@ def rational_certificate(
     """Search for a nonzero exact pairing certifying the class at genus g.
 
     Returns the first nonzero pairing in the fixed monomial order, or None
-    if `budget` candidates all pair to zero.  None is not evidence of
-    vanishing.
+    if `budget` candidates all pair to zero (budget = 0 tries none; a
+    negative budget raises ValueError).  None is not evidence of vanishing.
     """
     if g < 2 or k < 1:
         raise ValueError("need g >= 2 and k >= 1")
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     e = 3 * g - 3 - k * (k + 1) // 2
     if e < 0:
         raise NegativeExpectedDimensionError(g, k, e)

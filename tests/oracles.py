@@ -3,17 +3,20 @@
 None of these is on a production path.  Each one reaches a result the
 library also computes, by a different route: fraction-free Bareiss with
 exact polynomial division against the library's determinant engines, the
-exponential generating series against the Chern recurrence, iterated
-reduction by h^2 = alpha h - (alpha^2 - beta)/4 against the closed form for
-h^r, von Staudt-Clausen against the Bernoulli table, and so on.
+exponential generating series against the Chern recurrence, a pairing over
+the Hecke correspondence that reduces each h^r by iterating
+h^2 = alpha h - (alpha^2 - beta)/4 against the library's binomial closed
+form for the h-coefficient, von Staudt-Clausen against the Bernoulli table,
+and so on.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from heckebn.giambelli import closed_form_14, pk_eval
-from heckebn.hecke import HeckeClass
+from heckebn.hecke import thaddeus_number
 from heckebn.numbers import binomial, is_prime
 from heckebn.poly import ALPHA, BETA, GAMMA, H, GradedPoly, PolyMatrix
 
@@ -153,18 +156,41 @@ def beta4_closed_form(n: int) -> Fraction:
 # the Hecke correspondence and intersection numbers
 
 
-def h_power_by_reduction(r: int) -> HeckeClass:
-    """h^r by iterating h^2 = alpha h - (alpha^2 - beta)/4."""
+@functools.lru_cache(maxsize=None)
+def h_power_by_reduction(r: int) -> tuple[GradedPoly, GradedPoly]:
+    """(f, f') with h^r = f h + f', by iterating h^2 = alpha h - (alpha^2 - beta)/4."""
     if r < 1:
-        raise ValueError("h_power needs r >= 1")
-    cur = HeckeClass(GradedPoly.one(), GradedPoly.zero())
+        raise ValueError("h_power_by_reduction needs r >= 1")
+    f, fprime = GradedPoly.one(), GradedPoly.zero()
     for _ in range(r - 1):
         # h * (f h + f') = (f alpha + f') h + f (beta - alpha^2)/4
-        cur = HeckeClass(
-            cur.f * ALPHA + cur.fprime,
-            cur.f * (BETA - ALPHA**2) * _QUARTER,
-        )
-    return cur
+        f, fprime = f * ALPHA + fprime, f * (BETA - ALPHA**2) * _QUARTER
+    return f, fprime
+
+
+def h_coefficient_by_reduction(poly: GradedPoly) -> GradedPoly:
+    """The f in poly = f h + f', each h^r reduced by h_power_by_reduction."""
+    f: dict = {}
+    for (r, m, n, p), coeff in poly.items():
+        if r == 0:
+            continue
+        for (_, m2, n2, p2), c2 in h_power_by_reduction(r)[0].items():
+            key = (0, m + m2, n + n2, p + p2)
+            f[key] = f.get(key, 0) + coeff * c2
+    return GradedPoly(f)
+
+
+def pair_by_reduction(
+    poly: GradedPoly, monomial: tuple[int, int, int, int], g: int
+) -> Fraction:
+    """Integral over H of poly * alpha^a beta^b gamma^c h^d: the h-coefficient
+    by iterated reduction, each of its terms paired by thaddeus_number."""
+    a, b, c, d = monomial
+    f = h_coefficient_by_reduction(poly * GradedPoly.monomial((d, a, b, c)))
+    return sum(
+        (coeff * thaddeus_number(g, m, n, p) for (_, m, n, p), coeff in f.items()),
+        Fraction(0),
+    )
 
 
 def von_staudt_denominator(q: int) -> int:

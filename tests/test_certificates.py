@@ -2,9 +2,9 @@
 
 verify(deep=True) must answer every mutant with a bool.  A mutant that still
 verifies must carry a true claim, which is confirmed here without the
-library's determinant engines: modular residues from P_k(1, beta, 0) reduced
-mod g0 and scaled by unit^k, rational pairings from P_k computed by
-fraction-free Bareiss.
+library's determinant engines or its pairing: modular residues from
+P_k(1, beta, 0) reduced mod g0 and scaled by unit^k, rational pairings of P_k
+computed by fraction-free Bareiss, each h^r reduced by iteration.
 """
 
 import dataclasses
@@ -16,11 +16,11 @@ from hypothesis import strategies as st
 
 from heckebn.chern import chern_full
 from heckebn.giambelli import giambelli_rows, pk_beta
-from heckebn.hecke import pair_with_monomial, rational_certificate
+from heckebn.hecke import rational_certificate
 from heckebn.modular import certify_mod
 from heckebn.numbers import is_prime
 from heckebn.poly import GradedPoly, PolyMatrix
-from oracles import det_bareiss, reduce_mod
+from oracles import det_bareiss, pair_by_reduction, reduce_mod
 
 
 @functools.lru_cache(maxsize=None)
@@ -56,7 +56,7 @@ def _confirm_modular(c) -> None:
 
 
 def _confirm_rational(c) -> None:
-    value = pair_with_monomial(_pk_bareiss(c.k), c.monomial, c.g0)
+    value = pair_by_reduction(_pk_bareiss(c.k), c.monomial, c.g0)
     assert value == c.witness_value != 0
 
 

@@ -68,6 +68,10 @@ def test_thaddeus(capsys):
         capsys, "thaddeus", "--g", "2", "--m", "1", "--n", "0", "--p", "0"
     )
     assert code == 2 and "error" in err
+    code, out, err = run_cli(
+        capsys, "thaddeus", "--g", "1", "--m", "0", "--n", "0", "--p", "0"
+    )
+    assert (code, out) == (2, "") and "genus must be >= 2" in err
 
 
 def test_mod_cert(capsys, isolated_cache):
@@ -105,6 +109,13 @@ def test_rational_cert_inconclusive(capsys):
     )
     assert code == 0
     assert json.loads(out) == {"status": "inconclusive", "g": 5, "k": 2}
+
+
+def test_rational_cert_negative_budget(capsys):
+    code, out, err = run_cli(
+        capsys, "rational-cert", "--g", "5", "--k", "2", "--budget", "-5"
+    )
+    assert (code, out) == (2, "") and "budget" in err
 
 
 def test_verdict_stdout(capsys):
