@@ -1,5 +1,5 @@
-"""Golden outputs: verdict table, Theorem 6.1 certificates, P_k(1, beta, 0),
-the trivariate P_k(h, beta, gamma), rational certificates and pairings.
+"""Golden outputs: verdict table, Theorem 6.1 certificates, M_j residues,
+P_k(1, beta, 0), the trivariate P_k(h, beta, gamma), rational certificates and pairings.
 
 The digests are fixed: a change to any class polynomial, residue or verdict
 changes one of them.  P_k(1, beta, 0) is also checked off the interpolation
@@ -21,7 +21,13 @@ import pytest
 
 from heckebn.giambelli import pk_beta, pk_eval, pk_full
 from heckebn.hecke import candidate_monomials, pair_with_monomial, rational_certificate
-from heckebn.modular import certify_mod
+from heckebn.modular import (
+    _usable_prime,
+    certify_mod,
+    find_gpk,
+    mj_mod,
+    valid_primes_above,
+)
 from heckebn.numbers import format_rational
 from heckebn.store import Store
 from heckebn.verdict import emit_table
@@ -60,6 +66,51 @@ THM61_HASHES = {
 def test_thm61_certificate_hashes():
     got = {k: certify_mod(k).hash() for k in THM61_HASHES}
     assert got == THM61_HASHES
+
+
+def _mj_primes(k: int) -> list[int]:
+    """find_gpk(k), the first two primes above 2k and 1009, without repeats."""
+    assert _usable_prime(k, 1009)
+    out: list[int] = []
+    for g in (find_gpk(k), *valid_primes_above(k), 1009):
+        if g not in out:
+            out.append(g)
+    return out
+
+
+# sha256 of json.dumps([[g, list(mj_mod(k, g).m)] for g in _mj_primes(k)]): every
+# residue M_j, not only the ones a certificate quotes
+MJ_DIGESTS = {
+    10: "668d009cf8fa2d20d028be8b973155bfbef64b998bc4caabfe95c0f6cf81873b",
+    11: "0caa0c7c800f41d41d3a233c42885a5653a010df6e5c822ad37187ea3fb5c02a",
+    12: "889af6c09fe5f8b9bff725708a5290f45774694721ef186b0b6791d52edee2fa",
+    13: "70540258dc9b6638d38908a2a94df8c8d82f4a42db3c55b5a9d080f97c831aae",
+    14: "7f42a825001937085e7537cc837fcefd80e4acf68110b5166acd9ddd6175369b",
+    15: "085a25d0f5776abbb2e6dc21880d43e9186d0e3d4982006410c2051e68b7bd48",
+    16: "200eff6cc9c53cf3614caf99f418d801464cd4bc9024ed7a19a0160c81263be7",
+    17: "91e1bf2a95e72077769a70d0d630b052dc4fdff27f3f2f304e4e856e350e0e44",
+    18: "65c8fabad9dfb93712976d9274fe4d863f320bab5cfb5951acf07674ecbccc9e",
+    19: "040f88fff920f4010bba3bc999837731d472fbcd9345e894c1c7a0ac42471f78",
+    20: "5a4d5112ef02f1912f30aad55dc63c301ab1fb033a2aca7d1cecad020d487167",
+    21: "69d866a309597c7e83bc2be904d978916d8433f5ec4ac5c1a200002881f4a180",
+    22: "cc72f4ba800b421001e9653c8421323bde4e9194c47dbc6a5d749e7782c4b859",
+    23: "c2c927790c6d4ecc35d343b27c59a547490ee97fc347b47a51fc4a22b3315c15",
+    24: "640b9084b892e7991350a90afa375eff54dadd8cd799a47c80dc62aece7b29e7",
+    25: "c5c631293a3dbe80c10aff0339af24f65bc931bd6f81031fc912b2e3902059fa",
+    26: "3ed8831154d8b35efccaf1702a1c529911b14f6de8a686fd6074ad137b6c92e8",
+    27: "e7fe3357bf95ee59ce014e29fa183190a7b98ecc3aaa089487c3487bb733c9eb",
+    28: "494973341908b796b18a4d5a7262fba532830499cbb6401012306ed4428b14c1",
+    29: "4bc593cf4ba85937d6fca76a02ce44433d47ecded01c7c442059f1e22b4f5f1e",
+    30: "03a12e26fe141758c51715ec7cd9722cbedb93396ba671f6dcaf08a95aae2105",
+}
+
+
+def test_mj_residue_digests():
+    got = {
+        k: sha256(json.dumps([[g, list(mj_mod(k, g).m)] for g in _mj_primes(k)]))
+        for k in MJ_DIGESTS
+    }
+    assert got == MJ_DIGESTS
 
 
 def test_pk_beta_coefficient_digest():
