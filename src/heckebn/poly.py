@@ -11,12 +11,12 @@ node by Horner's rule, integer Bareiss at each node, and Newton's forward
 differences over one common denominator.  det_minor_expansion, Laplace
 expansion in any symbols, is the tests' reference and on no library path.
 
-Prime-field work never builds a polynomial object: det_mod_univariate takes
-coefficient lists over F_p[x] and runs a dense coefficient-vector Bareiss.
-It divides each pivot step by one x-adic series inverse of the previous
-pivot (Newton iteration), checks every quotient by multiplying back, and
-keeps coefficients in int64 arrays while p^2 * n * max_len < 2^62 bounds
-every convolution sum, in Python-int object arrays above that.
+Prime-field work never builds a polynomial object: det_mod_univariate runs
+Bareiss over F_p[x] on the whole active block, a pivot step being a few
+Toeplitz matrix products, one x-adic series inverse of the previous pivot
+and a multiply-back check.  While 2 p^2 n max_len < 2^53 coefficients sit
+in float64 as exact integers: every sum has nonnegative terms below 2^53,
+so no BLAS partial sum rounds.  Above that, Python-int object arrays.
 """
 
 from __future__ import annotations
@@ -154,24 +154,6 @@ class GradedPoly:
         """Largest exponent of the symbol; -1 on the zero polynomial."""
         i = SYMBOLS.index(name)
         return max((mono[i] for mono in self.coeffs), default=-1)
-
-    def weights(self) -> set[int]:
-        return {
-            sum(e * w for e, w in zip(mono, WEIGHTS)) for mono in self.coeffs
-        }
-
-    def is_homogeneous(self, weight: int | None = None) -> bool:
-        ws = self.weights()
-        if not ws:
-            return True
-        if len(ws) > 1:
-            return False
-        return weight is None or ws == {weight}
-
-    def half_degree(self) -> int | None:
-        """Largest monomial weight, None on the zero polynomial."""
-        ws = self.weights()
-        return max(ws) if ws else None
 
     # -- arithmetic --------------------------------------------------------
 
@@ -499,37 +481,50 @@ def _interp_nodes(ys: list[int], den: int) -> list[Fraction]:
     return [Fraction(c, total) for c in num]
 
 
-# dense univariate arithmetic over F_p, on trimmed ascending coefficient
-# arrays of one dtype (int64, or object when int64 could overflow)
+# dense univariate arithmetic over F_p on arrays of integers in [0, p)
 
-
-def _trim(v):
-    n = len(v)
-    while n and not v[n - 1]:
-        n -= 1
-    return v[:n]
+_BLOCK_BYTES = 1 << 16  # numerator bytes of the rows a pivot step takes at once
+_CHUNK = 64  # columns per Toeplitz block
 
 
 def _coeff_dtype(p: int, n: int, max_len: int):
-    """int64 when no convolution sum can reach 2^62, else Python ints.
-
-    Every entry of an n x n Bareiss run is a minor of length at most
-    n * max_len, so each convolution sums at most that many products < p^2.
-    """
-    return np.int64 if p * p * max(1, n * max_len) < 2**62 else object
+    """float64 while 2 p^2 n max_len < 2^53 (see det_mod_univariate), else ints."""
+    return np.float64 if 2 * p * p * n * max_len < 2**53 else object
 
 
-def _mod_mul(a, b, p: int):
-    if not len(a) or not len(b):
-        return a[:0]
-    return np.convolve(a, b) % p
+def _reduce(x, p: int):
+    """x mod p, in place on float64 integers 0 <= x < 2^53.  With x = kp + j,
+    0 <= j < p, x / p lies d/p below k + 1 (d = p - j >= 1), and half the
+    float spacing below k + 1 is under (k + 1) 2^-53 = (x + d) / (p 2^53) <=
+    d/p: x / p rounds to no integer above k, so floor(x / p) is exact."""
+    if x.dtype == object:
+        return x % p
+    q = x / p
+    x -= np.multiply(np.floor(q, out=q), p, out=q)
+    return x
 
 
-def _mod_sub(a, b, p: int):
-    out = np.zeros(max(len(a), len(b)), dtype=a.dtype)
-    out[: len(a)] += a
-    out[: len(b)] -= b
-    return _trim(out % p)
+def _conv(x, f, out_len: int):
+    """(x * f)[..., :out_len] along the last axis, unreduced, len(x) <= out_len.
+
+    f is a vector or a stack broadcasting against x as in matmul.  One
+    Toeplitz block T[t, t + s] = f[s] of _CHUNK rows, cut from the period
+    [f, 0 * rows], serves every column slice of x; products overlap-add."""
+    n, lf, lead = x.shape[-1], f.shape[-1], f.shape[:-1]
+    c = min(n, _CHUNK)
+    w = c + lf - 1
+    t = np.zeros(lead + (c * (w + 1),), dtype=f.dtype)
+    t.reshape(lead + (c, w + 1))[..., :lf] = f[..., None, :]
+    t = t[..., : c * w].reshape(lead + (c, w))
+    if c == n and w >= out_len:
+        return np.matmul(x, t[..., :out_len])
+    for c0 in range(0, n, c):
+        hi = min(c0 + w, out_len)
+        part = np.matmul(x[..., c0 : c0 + c], t[..., : n - c0, : hi - c0])
+        if c0 == 0:
+            out = np.zeros(part.shape[:-1] + (out_len,), dtype=part.dtype)
+        out[..., c0:hi] += part
+    return out
 
 
 def _series_inverse(f, width: int, p: int):
@@ -539,81 +534,85 @@ def _series_inverse(f, width: int, p: int):
     m = 1
     while m < width:
         m = min(2 * m, width)
-        e = (-np.convolve(f[:m], g[:m])[:m]) % p
+        e = _reduce(p - _reduce(np.convolve(f[:m], g[:m])[:m], p), p)
         e[0] = (e[0] + 2) % p
-        g[:m] = np.convolve(g[:m], e)[:m] % p
+        g[:m] = _reduce(np.convolve(g[:m], e)[:m], p)
     return g
 
 
-def _mod_divexact(num, v: int, pv, inv, p: int):
-    """Exact quotient num / (x^v pv) over F_p; inv = 1/pv mod x^len(inv).
-
-    The quotient is the truncated product of num / x^v with inv; multiplying
-    it back by pv checks the division, so an inexact one raises.
-    """
-    if not len(num):
-        return num
-    if num[:v].any():
+def _divexact(num, v: int, pv, inv, p: int):
+    """Exact quotients num / (x^v pv) over F_p, inv = 1/pv mod x^len(inv): the
+    truncated products of num / x^v with inv, checked by multiplying back."""
+    qlen = num.shape[-1] - v - len(pv) + 1
+    if num[..., :v].any() or (qlen < 1 and num.any()):
         raise ArithmeticError("inexact modular polynomial division")
-    num = num[v:]
-    qlen = len(num) - len(pv) + 1
+    num = num[..., v:]
     if qlen < 1:
-        raise ArithmeticError("inexact modular polynomial division")
-    q = np.convolve(num[:qlen], inv[:qlen])[:qlen] % p
-    if not np.array_equal(np.convolve(q, pv) % p, num):
+        return num[..., :0]
+    q = _reduce(_conv(num[..., :qlen], inv[:qlen], qlen), p)
+    if not np.array_equal(_reduce(_conv(q, pv, num.shape[-1]), p), num):
         raise ArithmeticError("inexact modular polynomial division")
     return q
+
+
+def _trim_block(a):
+    """Drop the length columns that are zero in every entry."""
+    nz = (a if a.ndim == 1 else a.reshape(-1, a.shape[-1] or 1).any(axis=0)).nonzero()[0]
+    return a[..., : nz[-1] + 1 if len(nz) else 0]
 
 
 def det_mod_univariate(coeff_rows: list[list[list[int]]], p: int) -> list[int]:
     """Determinant over F_p[x] of a matrix given as coefficient lists.
 
-    Fraction-free Bareiss on dense coefficient arrays.  Every division in
-    pivot step r is by the same previous pivot prev = x^v pv with pv(0) != 0,
-    so the step computes the x-adic inverse of pv once, to its widest
-    quotient, and each division is one truncated convolution checked by
-    multiplying back.  Arrays are int64 when p^2 * n * max_len < 2^62 (no
-    convolution sum can overflow) and Python-int object arrays otherwise.
-    """
+    Fraction-free Bareiss on the whole active block a: entry (i, j) becomes
+    (piv a[i, j] + (-a[i, 0] mod p) a[0, j]) / prev, piv = a[0, 0], both
+    terms Toeplitz products over blocks of rows.  prev = x^v pv, pv(0) != 0,
+    is inverted once per step as an x-adic series; every quotient is checked
+    by multiplying back.  Coefficients are integers in [0, p), in float64
+    while 2 p^2 n max_len < 2^53: entries are minors of length <= n max_len
+    and quotients at most twice that, so every sum has <= 2 n max_len terms
+    in [0, p^2), every BLAS partial sum in any order is an exact integer
+    below 2^53, and x - floor(x/p) p reduces it exactly.  Above the bound
+    the same code runs on Python-int object arrays.  Raises ValueError on
+    an empty or non-square matrix, TypeError on a coefficient not an int."""
     n = len(coeff_rows)
-    max_len = max((len(e) for row in coeff_rows for e in row), default=1)
-    dtype = _coeff_dtype(p, n, max_len)
-    a = [
-        [_trim(np.array([c % p for c in e], dtype=dtype)) for e in row]
-        for row in coeff_rows
-    ]
-    zero = np.zeros(0, dtype=dtype)
-    sign = 1
-    prev = np.ones(1, dtype=dtype)
-    for r in range(n - 1):
-        if not len(a[r][r]):
-            for i in range(r + 1, n):
-                if len(a[i][r]):
-                    a[r], a[i] = a[i], a[r]
-                    sign = -sign
-                    break
-            else:
+    if n == 0 or any(len(row) != n for row in coeff_rows):
+        raise ValueError("det_mod_univariate needs a nonempty square matrix")
+    if not all(isinstance(c, int) for row in coeff_rows for e in row for c in e):
+        raise TypeError("det_mod_univariate takes int coefficients")
+    max_len = max(1, *(len(e) for row in coeff_rows for e in row))
+    pad = [[[c % p for c in e] + [0] * (max_len - len(e)) for e in row] for row in coeff_rows]
+    a = np.array(pad, dtype=_coeff_dtype(p, n, max_len))
+    del pad  # as large as `a`, and not needed again
+    sign, prev = 1, None  # the first step divides by 1
+    for m in range(n - 1, 0, -1):
+        live = (a[:, 0] != 0).any(axis=-1)
+        if not live[0]:
+            if not live.any():
                 return [0]
-        rest = range(r + 1, n)
-        for i in rest:
-            for j in rest:
-                a[i][j] = _mod_sub(
-                    _mod_mul(a[r][r], a[i][j], p), _mod_mul(a[i][r], a[r][j], p), p
-                )
-            a[i][r] = zero
-        v = int(np.flatnonzero(prev)[0])
-        pv = prev[v:]
-        # each quotient is a minor of the input, so width stays in the dtype bound
-        width = max(len(a[i][j]) for i in rest for j in rest) - len(prev) + 1
-        inv = _series_inverse(pv, max(width, 1), p)
-        for i in rest:
-            for j in rest:
-                a[i][j] = _mod_divexact(a[i][j], v, pv, inv, p)
-        prev = a[r][r]
-    out = [int(c) % p for c in a[n - 1][n - 1]]
-    if sign < 0:
-        out = [(-c) % p for c in out]
-    return out if out else [0]
+            i = int(live.nonzero()[0][0])
+            a[[0, i]] = a[[i, 0]]
+            sign = -sign
+        piv = _trim_block(a[0, 0]).copy()  # a copy, so prev does not keep `a`
+        negc = _trim_block(np.where(a[1:, 0], p - a[1:, 0], 0))
+        num_len = a.shape[-1] + max(len(piv), negc.shape[-1]) - 1
+        if prev is not None:
+            v = int(prev.nonzero()[0][0])
+            inv = _series_inverse(prev[v:], max(num_len - len(prev) + 1, 1), p)
+        block = max(1, _BLOCK_BYTES // (8 * m * num_len))
+        for i0 in range(0, m, block):
+            num = _conv(a[1 + i0 : 1 + i0 + block, 1:], piv, num_len)
+            if negc.shape[-1]:
+                num += _conv(a[0, 1:], negc[i0 : i0 + block], num_len)
+            q = _reduce(num, p)
+            if prev is not None:
+                q = _divexact(q, v, prev[v:], inv, p)
+            if i0 == 0:
+                out = q if block >= m else np.empty((m, m, q.shape[-1]), dtype=a.dtype)
+            if block < m:
+                out[i0 : i0 + block] = q
+        a, prev = _trim_block(out), piv
+    return [int(c) if sign > 0 else int(p - c) % p for c in _trim_block(a[0, 0])] or [0]
 
 
 def root_multiplicity(p: GradedPoly, root: Fraction | int, name: str = "beta") -> int:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from heckebn.giambelli import closed_form_14, pk_eval
 from heckebn.hecke import thaddeus_number
 from heckebn.numbers import binomial, is_prime
-from heckebn.poly import ALPHA, BETA, GAMMA, H, GradedPoly, PolyMatrix
+from heckebn.poly import ALPHA, BETA, GAMMA, WEIGHTS, H, GradedPoly, PolyMatrix
 
 
 def reduce_mod(coeffs: list, g: int) -> list[int]:
@@ -30,6 +30,29 @@ def reduce_mod(coeffs: list, g: int) -> list[int]:
             raise ZeroDivisionError(f"denominator of {c} vanishes mod {g}")
         out.append(c.numerator * pow(c.denominator, -1, g) % g)
     return out
+
+
+# ---------------------------------------------------------------------------
+# grading: h and alpha weigh 1, beta 2, gamma 3
+
+
+def weights(p: GradedPoly) -> set[int]:
+    return {sum(e * w for e, w in zip(mono, WEIGHTS)) for mono in p.coeffs}
+
+
+def is_homogeneous(p: GradedPoly, weight: int | None = None) -> bool:
+    ws = weights(p)
+    if not ws:
+        return True
+    if len(ws) > 1:
+        return False
+    return weight is None or ws == {weight}
+
+
+def half_degree(p: GradedPoly) -> int | None:
+    """Largest monomial weight, None on the zero polynomial."""
+    ws = weights(p)
+    return max(ws) if ws else None
 
 
 # ---------------------------------------------------------------------------

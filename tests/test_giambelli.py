@@ -24,7 +24,7 @@ from heckebn.giambelli import (
 )
 from heckebn.chern import chern_full, chern_tilde
 from heckebn.poly import BETA, GAMMA, H, GradedPoly
-from oracles import Partition, lemma35_check, schur_dim
+from oracles import Partition, is_homogeneous, lemma35_check, schur_dim
 
 
 def test_matrix_layout():
@@ -58,7 +58,7 @@ def test_pk_full_small():
 
 def test_pk_full_homogeneous_and_limit():
     for k in range(1, 7):
-        assert pk_full(k).polynomial.is_homogeneous(k * (k + 1) // 2)
+        assert is_homogeneous(pk_full(k).polynomial, k * (k + 1) // 2)
     with pytest.raises(ValueError, match="limited to k <= 12"):
         pk_full(13)
 

@@ -27,7 +27,7 @@ from heckebn.poly import (
     poly_from_coeffs,
     root_multiplicity,
 )
-from oracles import det_bareiss, exact_div, reduce_mod
+from oracles import det_bareiss, exact_div, half_degree, is_homogeneous, reduce_mod
 
 
 def sample_p2() -> GradedPoly:
@@ -62,13 +62,14 @@ def test_substitute_and_evaluate():
 
 def test_homogeneity():
     p = sample_p2()
-    assert p.is_homogeneous(3)
-    assert p.half_degree() == 3
-    assert not (H + BETA).is_homogeneous()
-    assert GradedPoly.zero().is_homogeneous(7)
+    assert is_homogeneous(p, 3)
+    assert half_degree(p) == 3
+    assert not is_homogeneous(H + BETA)
+    assert is_homogeneous(GradedPoly.zero(), 7)
+    assert half_degree(GradedPoly.zero()) is None
     # products add half-degrees
     q = BETA * H - GAMMA
-    assert (p * q).is_homogeneous(6)
+    assert is_homogeneous(p * q, 6)
 
 
 def test_pow_and_scalars():
@@ -249,7 +250,8 @@ def test_json_round_trip_property(p):
 
 # Reference kernel: per-coefficient Bareiss over F_p[x] on Python lists, with
 # long division from the leading coefficient.  It shares no code with
-# poly.det_mod_univariate, which divides by an x-adic series inverse.
+# poly.det_mod_univariate, which runs each pivot step as Toeplitz products
+# and divides by an x-adic series inverse.
 
 
 def _ref_trim(v: list[int]) -> list[int]:
@@ -374,13 +376,17 @@ def test_det_mod_matches_reference_kernels(case):
     assert _ref_trim(got) == _rational_det_mod(rows, p)
 
 
-def _divide(num: list[int], den: list[int], p: int) -> list[int]:
-    """poly._mod_divexact on int64 arrays, set up as one Bareiss step does."""
-    den = np.array(den, dtype=np.int64)
+def _divide(num, den: list[int], p: int) -> list:
+    """poly._divexact on float64 arrays, set up as one pivot step does.
+
+    num is one coefficient list or a block of them (equal lengths).
+    """
+    den = np.array(den, dtype=np.float64)
     v = int(np.flatnonzero(den)[0])
     pv = den[v:]
-    inv = poly._series_inverse(pv, max(len(num) - len(den) + 1, 1), p)
-    return poly._mod_divexact(np.array(num, dtype=np.int64), v, pv, inv, p).tolist()
+    num = np.array(num, dtype=np.float64)
+    inv = poly._series_inverse(pv, max(num.shape[-1] - len(den) + 1, 1), p)
+    return poly._divexact(num, v, pv, inv, p).astype(int).tolist()
 
 
 @settings(max_examples=200, deadline=None)
@@ -400,30 +406,49 @@ def test_mod_divexact_matches_reference(p, q, pv, v, rem):
         return
     den = [0] * v + pv
     num = _ref_mul(q, den, p)
-    inv = poly._series_inverse(np.array(pv, dtype=np.int64), 8, p)
-    assert _ref_mul(pv, inv.tolist(), p)[:8] == [1] + [0] * 7
+    inv = poly._series_inverse(np.array(pv, dtype=np.float64), 8, p)
+    assert _ref_mul(pv, [int(c) for c in inv], p)[:8] == [1] + [0] * 7
     assert _divide(num, den, p) == _ref_divexact(num, den, p) == q
-    # a nonzero remainder of lower degree than den: inexact for both kernels
+    # a nonzero remainder of lower degree than den: inexact for both kernels,
+    # alone and as one entry of a block whose other entry divides exactly
     if rem and len(rem) < len(den):
         bad = _ref_sub(num, [(-c) % p for c in rem], p)
         with pytest.raises(ArithmeticError):
             _ref_divexact(bad, den, p)
         with pytest.raises(ArithmeticError):
             _divide(bad, den, p)
+        with pytest.raises(ArithmeticError):
+            _divide([num, bad], den, p)
 
 
 def test_mod_divexact_inexact_cases():
     p = 7
-    # low coefficient below the x-valuation of den
+    # guard 1: a coefficient below the x-valuation of den
     with pytest.raises(ArithmeticError):
         _divide([1, 1, 1], [0, 1], p)
-    # num shorter than den
+    # guard 2: a nonzero num shorter than den
     with pytest.raises(ArithmeticError):
         _divide([1, 1], [1, 2, 3], p)
-    # x + 1 does not divide x^2 + 1 over F_7: fails the multiply-back
+    # guard 3: x + 1 does not divide x^2 + 1 over F_7, so the multiply-back fails
     with pytest.raises(ArithmeticError):
         _divide([1, 0, 1], [1, 1], p)
+    # exact cases: zero numerators, and a block of (x + 1) * q_i
     assert _divide([], [1, 1], p) == []
+    assert _divide([0, 0], [1, 2, 3], p) == []
+    assert _divide([[1, 2, 1], [0, 3, 3], [0, 0, 0]], [1, 1], p) == [
+        [1, 1],
+        [0, 3],
+        [0, 0],
+    ]
+
+
+def test_det_mod_quotients_shorter_than_prev():
+    # step 0 leaves constants under the pivot x^3, so step 1's numerators are
+    # shorter than the divisor x^3: exact only when they are all zero
+    top = [[[0, 0, 0, 1], [1], []], [[1, 0, 0, 1], [1], []]]
+    for last in ([[], [], []], [[], [], [1]], [[2], [], [1, 1]]):
+        rows = top + [last]
+        assert det_mod_univariate(rows, 7) == ref_det_mod(rows, 7)
 
 
 def test_det_mod_dense_matches_minor():
@@ -440,22 +465,22 @@ def test_det_mod_dense_matches_minor():
 
 
 def test_det_mod_python_fallback_path():
-    # int64 arrays exactly while p^2 * n * max_len < 2^62, Python ints above;
+    # float64 arrays exactly while 2 p^2 n max_len < 2^53, Python ints above;
     # each case sits just below or just above that bound, with entries near p
-    below_2x2 = 2**30 - 35  # largest prime below 2^30: p^2 * 2 * 2 < 2^62
-    above_2x2 = 2**30 + 3  # smallest prime above 2^30
-    below_3x3 = 715827881  # largest prime with p^2 * 3 * 3 < 2^62
-    above_3x3 = 715827883
+    below_2x2 = 33554393  # largest prime with 2 p^2 * 2 * 2 < 2^53
+    above_2x2 = 33554467  # smallest prime above it
+    below_3x3 = 22369601  # largest prime with 2 p^2 * 3 * 3 < 2^53
+    above_3x3 = 22369661
     cases = [
-        (below_2x2, 2, 2, np.int64),
+        (below_2x2, 2, 2, np.float64),
         (above_2x2, 2, 2, object),
-        (below_3x3, 3, 3, np.int64),
+        (below_3x3, 3, 3, np.float64),
         (above_3x3, 3, 3, object),
         (2**31 - 1, 2, 2, object),
     ]
     rng = random.Random(2**31 - 1)
     for p, n, max_len, dtype in cases:
-        assert (p * p * n * max_len < 2**62) == (dtype is np.int64)
+        assert (2 * p * p * n * max_len < 2**53) == (dtype is np.float64)
         assert poly._coeff_dtype(p, n, max_len) is dtype
         for _ in range(3):
             rows = [
@@ -464,6 +489,30 @@ def test_det_mod_python_fallback_path():
             ]
             got = _ref_trim(det_mod_univariate(rows, p))
             assert got == _rational_det_mod(rows, p) == _ref_trim(ref_det_mod(rows, p))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.integers(0, 2**53 - 1), st.integers(2**53 - 2**20, 2**53 - 1)),
+    st.integers(2, 2**31 - 1),
+)
+def test_float_reduction_is_exact(x, p):
+    # x - floor(x/p) p on float64 for every integer 0 <= x < 2^53
+    assert poly._reduce(np.array([float(x)]), p).tolist() == [x % p]
+    assert poly._reduce(np.array([x], dtype=object), p).tolist() == [x % p]
+
+
+def test_det_mod_rejects_malformed_matrices():
+    with pytest.raises(ValueError):
+        det_mod_univariate([], 5)
+    with pytest.raises(ValueError):
+        det_mod_univariate([[[1], [2]]], 5)
+    with pytest.raises(ValueError):
+        det_mod_univariate([[[1], [2]], [[3]]], 5)
+    with pytest.raises(TypeError):
+        det_mod_univariate([[[1.5]]], 5)
+    with pytest.raises(TypeError):
+        det_mod_univariate([[[1], [2]], [[3], [4, Fraction(1, 2)]]], 5)
 
 
 def test_det_numeric():
