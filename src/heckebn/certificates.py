@@ -6,8 +6,13 @@ genus g0; a rational certificate stores a monomial and the exact nonzero
 intersection pairing.  JSON forms keep every integer as a decimal string so
 readers in any language can parse them without overflow.
 
-verify() rechecks a certificate from its own stored data; verify(deep=True)
-recomputes the underlying determinant or pairing from scratch.
+The rules of the modular certificates (arXiv 1311.5007, Thm 6.1) live here
+and nowhere else: admissible_prime decides where the theorem applies (an odd
+prime g0 > 2k with expected dimension e = 3g0 - 3 - k(k+1)/2 >= 0),
+_criterion_indices gives the M_j each criterion sums, and sweep_criteria
+builds the first certificate a run of M_j residues supports.  verify()
+checks a certificate against the same rules; verify(deep=True) recomputes
+the underlying determinant or pairing from scratch.
 """
 
 from __future__ import annotations
@@ -20,7 +25,14 @@ from fractions import Fraction
 from . import tool_stamp
 from .numbers import format_rational, is_prime, parse_rational
 
-__all__ = ["SCHEMA_VERSION", "Certificate", "canonical_json_bytes", "content_hash"]
+__all__ = [
+    "SCHEMA_VERSION",
+    "Certificate",
+    "admissible_prime",
+    "sweep_criteria",
+    "canonical_json_bytes",
+    "content_hash",
+]
 
 SCHEMA_VERSION = "1"
 
@@ -38,13 +50,55 @@ def _expected_dimension(g0: int, k: int) -> int:
     return 3 * g0 - 3 - k * (k + 1) // 2
 
 
-def _e61_indices(g0: int) -> list[int]:
-    return [0, (g0 - 1) // 2, g0 - 1]
+def admissible_prime(k: int, g0: int) -> bool:
+    """Whether Theorem 6.1 applies at genus g0: an odd prime g0 > 2k, e >= 0."""
+    return (
+        g0 > 2 * k
+        and g0 != 2
+        and _expected_dimension(g0, k) >= 0
+        and is_prime(g0)
+    )
 
 
-def _e62_indices(g0: int, ell: int) -> list[int]:
-    # a negative first index means that term is absent and contributes 0
-    return [i for i in ((g0 - 1) // 2 - ell, g0 - 1 - ell) if i >= 0]
+def _criterion_indices(g0: int, e: int, criterion: str, ell: int) -> list[int] | None:
+    """Indices j of the M_j that (criterion, ell) sums; None where it does not apply.
+
+      e6.1, ell = 0:          M_0 + M_{(g0-1)/2} + M_{g0-1}
+      e6.2, 1 <= ell <= e/2:  M_{(g0-1)/2 - ell} + M_{g0-1-ell}
+    """
+    if criterion == "e6.1" and ell == 0:
+        return [0, (g0 - 1) // 2, g0 - 1]
+    if criterion == "e6.2" and 1 <= ell <= e // 2:
+        # a negative first index means that term is absent and contributes 0
+        return [i for i in ((g0 - 1) // 2 - ell, g0 - 1 - ell) if i >= 0]
+    return None
+
+
+def sweep_criteria(run) -> Certificate | None:
+    """First certificate of (e6.1, 0), (e6.2, 1), ..., (e6.2, e/2) at one run.
+
+    `run` carries k, g, unit, e and m_at(j), the residue M_j mod g (a
+    modular.ModularRun).  Returns None when every residue sum is 0: that is
+    inconclusive, never a proof of vanishing.
+    """
+    sweep = [("e6.1", 0), *(("e6.2", ell) for ell in range(1, run.e // 2 + 1))]
+    for criterion, ell in sweep:
+        idx = _criterion_indices(run.g, run.e, criterion, ell)
+        values = tuple(run.m_at(i) for i in idx)
+        residue = sum(values) % run.g
+        if residue:
+            return Certificate(
+                kind="modular",
+                k=run.k,
+                g0=run.g,
+                criterion=criterion,
+                ell=ell,
+                unit=run.unit,
+                witness_residue=residue,
+                m_indices=tuple(idx),
+                m_values=values,
+            )
+    return None
 
 
 @dataclass(frozen=True)
@@ -86,38 +140,29 @@ class Certificate:
 
     def _verify_modular(self, deep: bool) -> bool:
         g0 = self.g0
-        if g0 == 2 or not is_prime(g0) or g0 <= 2 * self.k:
+        if not admissible_prime(self.k, g0):
             return False
-        e = _expected_dimension(g0, self.k)
-        if e < 0:
-            return False
-        if self.criterion == "e6.1":
-            if self.ell != 0:
-                return False
-            expected_idx = _e61_indices(self.g0)
-        elif self.criterion == "e6.2":
-            if not 1 <= self.ell <= e // 2:
-                return False
-            expected_idx = _e62_indices(self.g0, self.ell)
-        else:
-            return False
-        if list(self.m_indices) != expected_idx:
+        expected_idx = _criterion_indices(
+            g0, _expected_dimension(g0, self.k), self.criterion, self.ell
+        )
+        if expected_idx is None or list(self.m_indices) != expected_idx:
             return False
         if len(self.m_values) != len(expected_idx):
             return False
-        if self.witness_residue != sum(self.m_values) % self.g0:
+        if self.witness_residue != sum(self.m_values) % g0:
             return False
-        if self.witness_residue % self.g0 == 0:
+        if self.witness_residue == 0:
             return False
         if deep:
             from .modular import mj_mod
 
-            run = mj_mod(self.k, self.g0)
+            # the scaling unit (g0-1)! 2^(g0-1) is -1 mod g0 (Wilson, Fermat)
+            if self.unit is not None and self.unit != g0 - 1:
+                return False
+            run = mj_mod(self.k, g0)
             for idx, val in zip(self.m_indices, self.m_values):
                 if run.m_at(idx) != val:
                     return False
-            if self.unit is not None and self.unit != run.unit:
-                return False
         return True
 
     def _verify_rational(self, deep: bool) -> bool:

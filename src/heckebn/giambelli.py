@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import threading
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -56,14 +55,13 @@ _MEMO: dict[tuple[int, str], "PkRecord"] = {}
 
 @dataclass(frozen=True)
 class PkRecord:
-    """A computed P_k with provenance; `created` stays out of persisted form."""
+    """A computed P_k with provenance."""
 
     k: int
     variant: str
     polynomial: GradedPoly
     algorithm: str
     version: str = field(default_factory=tool_stamp)
-    created: float | None = field(default=None, compare=False)
 
     def to_json_obj(self) -> dict:
         return {
@@ -124,7 +122,7 @@ def _pk_cached(k: int, variant: str, store) -> PkRecord:
         return rec
     if store is not None:
         rec = store.get_pk_record(k, variant)
-        if rec is not None and rec.version == tool_stamp():
+        if rec is not None:
             with _lock:
                 _MEMO[(k, variant)] = rec
             return rec
@@ -134,7 +132,7 @@ def _pk_cached(k: int, variant: str, store) -> PkRecord:
         poly = _pk_slice(k, 0)
         # P_1(1, beta, 0) = c_1 = 1 is a constant 1 x 1 determinant
         algorithm = "numeric" if k == 1 else "evaluate-interpolate"
-    rec = PkRecord(k, variant, poly, algorithm, created=time.time())
+    rec = PkRecord(k, variant, poly, algorithm)
     with _lock:
         _MEMO[(k, variant)] = rec
     if store is not None:

@@ -1,31 +1,34 @@
-"""Prime-field certificates: M_j residues and the two nonzero-sum criteria.
+"""Prime-field certificates: the M_j residues of the scaled class at a prime.
 
 For an odd prime g > 2k the scaled class w = ((g-1)! 2^{g-1})^k P_k has
 integer coefficients; M_j is the coefficient of beta^j h^{k(k+1)/2 - 2j}
-mod g.  The engine computes the M_j natively in F_g[beta] as the Giambelli
-determinant of the scaled reduced Chern entries and applies
+mod g.  mj_mod computes the M_j natively in F_g[beta] as the Giambelli
+determinant of the scaled reduced Chern entries, and certify_mod hands them
+to certificates.sweep_criteria, which applies
 
   e6.1:  M_0 + M_{(g-1)/2} + M_{g-1}        != 0 (mod g)
   e6.2:  M_{(g-1)/2 - l} + M_{g-1-l}        != 0 (mod g),  1 <= l <= e/2,
 
-with e = 3g - 3 - k(k+1)/2.  Either one certifies that the class is nonzero
-at genus g.  Failure of all criteria proves nothing.
+with e = 3g - 3 - k(k+1)/2 >= 0.  Either one certifies that the class is
+nonzero at genus g.  Failure of all criteria proves nothing.  Where the
+theorem applies is decided by certificates.admissible_prime alone.
 
 Every matrix entry, including the constant last row (0, ..., 0, 2, 1), is
-scaled by the unit u = (g-1)! 2^{g-1} mod g, so the determinant equals
-u^k P_k(1, beta, 0) mod g exactly, which is the defining expansion of the
-M_j.  A uniform unit rescale cannot change the vanishing of any M_j sum.
+scaled by the unit u = (g-1)! 2^{g-1} mod g, which is -1 by Wilson's theorem
+and Fermat's little theorem, so the determinant equals u^k P_k(1, beta, 0)
+mod g exactly, which is the defining expansion of the M_j.  A uniform unit
+rescale cannot change the vanishing of any M_j sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .certificates import Certificate, _e61_indices, _e62_indices
+from .certificates import Certificate, admissible_prime, sweep_criteria
 from .chern import tilde_mod_coeffs
 from .errors import InapplicablePrimeError
 from .giambelli import giambelli_rows
-from .numbers import factorial_mod, is_prime, next_prime
+from .numbers import is_prime, next_prime
 from .poly import det_mod_univariate
 
 __all__ = [
@@ -34,8 +37,6 @@ __all__ = [
     "valid_primes_above",
     "ModularRun",
     "mj_mod",
-    "criterion_e61",
-    "criterion_e62",
     "certify_mod",
     "theorem43_gate",
 ]
@@ -98,7 +99,7 @@ def mj_mod(k: int, g: int) -> ModularRun:
             k, g, f"prime {g} does not exceed 2k = {2 * k}; the scaled class "
             "is not integral below that"
         )
-    u = factorial_mod(g - 1, g) * pow(2, g - 1, g) % g
+    u = g - 1  # (g-1)! 2^(g-1) mod g
     hat = [[c * u % g for c in row] for row in tilde_mod_coeffs(2 * k - 1, g)]
     coeffs = det_mod_univariate(giambelli_rows(k, hat, [0]), g)
     while len(coeffs) > 1 and coeffs[-1] == 0:
@@ -111,78 +112,23 @@ def mj_mod(k: int, g: int) -> ModularRun:
     return ModularRun(k=k, g=g, unit=u, m=tuple(coeffs), e=e)
 
 
-def criterion_e61(run: ModularRun) -> tuple[int, bool]:
-    """Residue M_0 + M_{(g-1)/2} + M_{g-1} mod g and whether it is nonzero."""
-    residue = sum(run.m_at(i) for i in _e61_indices(run.g)) % run.g
-    return residue, residue != 0
+def certify_mod(k: int, g: int | None = None) -> Certificate | None:
+    """Sweep the criteria at one prime, by default find_gpk(k).
 
-
-def criterion_e62(run: ModularRun, ell: int) -> tuple[int, bool]:
-    """Residue M_{(g-1)/2 - ell} + M_{g-1-ell} mod g; 1 <= ell <= e/2."""
-    if not 1 <= ell <= run.e // 2:
-        raise ValueError(
-            f"ell={ell} outside 1..{max(run.e // 2, 0)} for e={run.e}"
-        )
-    residue = sum(run.m_at(i) for i in _e62_indices(run.g, ell)) % run.g
-    return residue, residue != 0
-
-
-def _usable_prime(k: int, g: int) -> bool:
-    return g > 2 * k and 3 * g - 3 - k * (k + 1) // 2 >= 0
-
-
-def certify_mod(k: int, g: int | None = None, fallback: bool = False) -> Certificate | None:
-    """Run e6.1 then the e6.2 sweep at one prime; first success certifies.
-
-    Default prime is find_gpk(k).  A prime with g <= 2k, or with negative
-    expected dimension, is inapplicable; with fallback=True the search moves
-    to the next primes until both preconditions hold (certificates found
-    there prove non-vanishing at that larger genus, feeding monotonicity).
-    Returns None when every criterion gives 0: that is inconclusive, never
-    a proof of vanishing.
+    A prime where Theorem 6.1 does not apply raises InapplicablePrimeError;
+    a g that is not an odd prime raises ValueError.  Returns None when every
+    criterion gives 0: that is inconclusive, never a proof of vanishing.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     if g is None:
         g = find_gpk(k)
-    if not is_prime(g) or g == 2:
-        raise ValueError(f"g={g} is not an odd prime")
-    if not _usable_prime(k, g):
-        if not fallback:
-            if g <= 2 * k:
-                raise InapplicablePrimeError(
-                    k, g, f"prime {g} does not exceed 2k = {2 * k}"
-                )
-            raise InapplicablePrimeError(
-                k, g, "expected dimension is negative at this prime"
-            )
-        while not _usable_prime(k, g):
-            g = next_prime(g)
-    run = mj_mod(k, g)
-    residue, ok = criterion_e61(run)
-    if ok:
-        return _certificate(run, "e6.1", 0, _e61_indices(g), residue)
-    for ell in range(1, run.e // 2 + 1):
-        residue, ok = criterion_e62(run, ell)
-        if ok:
-            return _certificate(run, "e6.2", ell, _e62_indices(g, ell), residue)
-    return None
-
-
-def _certificate(
-    run: ModularRun, criterion: str, ell: int, idx: list[int], residue: int
-) -> Certificate:
-    return Certificate(
-        kind="modular",
-        k=run.k,
-        g0=run.g,
-        criterion=criterion,
-        ell=ell,
-        unit=run.unit,
-        witness_residue=residue,
-        m_indices=tuple(idx),
-        m_values=tuple(run.m_at(i) for i in idx),
-    )
+    if not admissible_prime(k, g):
+        if not is_prime(g) or g == 2:
+            raise ValueError(f"g={g} is not an odd prime")
+        raise InapplicablePrimeError(
+            k, g, f"Theorem 6.1 needs g > 2k = {2 * k} and 3g - 3 >= "
+            f"k(k+1)/2 = {k * (k + 1) // 2}"
+        )
+    return sweep_criteria(mj_mod(k, g))
 
 
 def theorem43_gate(g: int, k: int) -> bool:

@@ -22,7 +22,6 @@ so no BLAS partial sum rounds.  Above that, Python-int object arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -35,7 +34,6 @@ __all__ = [
     "WEIGHTS",
     "Monomial",
     "GradedPoly",
-    "PolyMatrix",
     "det_minor_expansion",
     "det_numeric",
     "det_interpolate",
@@ -304,41 +302,15 @@ def poly_from_coeffs(coeffs: Iterable, name: str = "beta") -> GradedPoly:
 # matrices and determinants
 
 
-@dataclass(frozen=True)
-class PolyMatrix:
-    """Square matrix of GradedPoly entries."""
-
-    entries: tuple[tuple[GradedPoly, ...], ...]
-
-    def __post_init__(self):
-        n = len(self.entries)
-        if n == 0:
-            raise ValueError("empty matrix")
-        for row in self.entries:
-            if len(row) != n:
-                raise ValueError("matrix is not square")
-
-    @classmethod
-    def build(cls, rows) -> PolyMatrix:
-        return cls(tuple(
-            tuple(x if isinstance(x, GradedPoly) else GradedPoly.constant(x) for x in row)
-            for row in rows
-        ))
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-
-def det_minor_expansion(m: PolyMatrix) -> GradedPoly:
+def det_minor_expansion(rows: Sequence[Sequence[GradedPoly]]) -> GradedPoly:
     """Laplace expansion along bottom rows, memoized on remaining column sets.
 
-    Any number of symbols may occur.  This is the tests' reference for
-    det_interpolate and the trivariate P_k; no library code calls it.  The
-    bottom rows of Giambelli matrices are the sparsest, so expanding there
-    keeps the number of distinct cofactors small.
+    The rows form a square matrix whose entries may hold any number of
+    symbols.  This is the tests' reference for det_interpolate and the
+    trivariate P_k; no library code calls it.  The bottom rows of Giambelli
+    matrices are the sparsest, so expanding there keeps the number of
+    distinct cofactors small.
     """
-    entries = m.entries
     memo: dict[frozenset, GradedPoly] = {}
 
     def rec(cols: frozenset) -> GradedPoly:
@@ -348,11 +320,11 @@ def det_minor_expansion(m: PolyMatrix) -> GradedPoly:
         r = len(cols) - 1
         ordered = sorted(cols)
         if r == 0:
-            memo[cols] = entries[0][ordered[0]]
+            memo[cols] = rows[0][ordered[0]]
             return memo[cols]
         acc = GradedPoly.zero()
         for pos, j in enumerate(ordered):
-            a = entries[r][j]
+            a = rows[r][j]
             if a.is_zero():
                 continue
             term = a * rec(cols - {j})
@@ -360,7 +332,7 @@ def det_minor_expansion(m: PolyMatrix) -> GradedPoly:
         memo[cols] = acc
         return acc
 
-    return rec(frozenset(range(m.n)))
+    return rec(frozenset(range(len(rows))))
 
 
 def _det_bareiss_int(rows: list[list[int]]) -> int:

@@ -96,7 +96,7 @@ class Store:
         return f"pk:{variant}:{k}"
 
     @staticmethod
-    def _cert_key(kind: str, k: int, g0: int | str) -> str:
+    def _cert_key(kind: str, k: int, g0: int) -> str:
         return f"cert:{kind}:{k}:{g0}"
 
     def put_pk_record(self, rec: PkRecord) -> str:
@@ -130,13 +130,6 @@ class Store:
         if cert.generated_by != tool_stamp() or (cert.kind, cert.k, cert.g0) != (kind, k, g0):
             return None
         return cert
-
-    def certificates_for(self, kind: str, k: int) -> list[Certificate]:
-        """All stored certificates of one kind for one k, ordered by prime."""
-        prefix = self._ref_path(self._cert_key(kind, k, "")).name
-        primes = (r.name[len(prefix):] for r in self._refs.iterdir() if r.name.startswith(prefix))
-        certs = [self.get_certificate(kind, k, int(g0)) for g0 in primes if g0.isdigit()]
-        return sorted((c for c in certs if c is not None), key=lambda c: c.g0)
 
     def path_for(self, digest: str) -> Path:
         return self.root / f"{digest}.json"

@@ -22,18 +22,10 @@ import io
 import json
 from dataclasses import dataclass, field
 
-from .certificates import Certificate
-from .errors import InapplicableError
+from .certificates import Certificate, admissible_prime
 from .giambelli import PK_FULL_DEFAULT_LIMIT
 from .hecke import rational_certificate
-from .modular import (
-    _usable_prime,
-    certify_mod,
-    find_gk,
-    find_gpk,
-    theorem43_gate,
-    valid_primes_above,
-)
+from .modular import certify_mod, find_gk, find_gpk, theorem43_gate, valid_primes_above
 from .numbers import is_prime
 
 __all__ = [
@@ -122,7 +114,7 @@ def _candidate_primes(g: int, k: int) -> list[int]:
     cands = [g, find_gpk(k), find_gk(k), *valid_primes_above(k, 2)]
     seen: list[int] = []
     for p in cands:
-        if p <= g and _usable_prime(k, p) and is_prime(p) and p not in seen:
+        if p <= g and admissible_prime(k, p) and p not in seen:
             seen.append(p)
     return seen
 
@@ -139,7 +131,7 @@ def _certificate_witness(cert: Certificate, g: int) -> str:
 
 
 def _class_certificate(g: int, k: int, store) -> Certificate | None:
-    """Modular certificate at the given genus or a smaller usable prime.
+    """Modular certificate at the given genus or a smaller admissible prime.
 
     A certificate at prime g0 <= g proves the class nonzero at g0; the
     relation ideal only grows as the genus drops, so non-vanishing persists
@@ -150,10 +142,7 @@ def _class_certificate(g: int, k: int, store) -> Certificate | None:
         if store is not None:
             cert = store.get_certificate("modular", k, p)
         if cert is None:
-            try:
-                cert = certify_mod(k, p)
-            except InapplicableError:
-                continue
+            cert = certify_mod(k, p)
             if cert is not None and store is not None:
                 store.put_certificate(cert)
         if cert is not None:

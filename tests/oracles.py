@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from typing import Sequence
 
 from heckebn.giambelli import closed_form_14, pk_eval
 from heckebn.hecke import thaddeus_number
 from heckebn.numbers import binomial, is_prime
-from heckebn.poly import ALPHA, BETA, GAMMA, WEIGHTS, H, GradedPoly, PolyMatrix
+from heckebn.poly import ALPHA, BETA, GAMMA, WEIGHTS, H, GradedPoly
 
 
 def reduce_mod(coeffs: list, g: int) -> list[int]:
@@ -88,10 +89,10 @@ def exact_div(num: GradedPoly, den: GradedPoly) -> GradedPoly:
     return GradedPoly(quo)
 
 
-def det_bareiss(m: PolyMatrix) -> GradedPoly:
+def det_bareiss(rows: Sequence[Sequence[GradedPoly]]) -> GradedPoly:
     """Fraction-free Bareiss elimination with exact polynomial division."""
-    n = m.n
-    a = [list(row) for row in m.entries]
+    n = len(rows)
+    a = [list(row) for row in rows]
     sign = 1
     prev = GradedPoly.one()
     for r in range(n - 1):

@@ -17,15 +17,16 @@ from hypothesis import strategies as st
 from heckebn.chern import chern_full
 from heckebn.giambelli import giambelli_rows, pk_beta
 from heckebn.hecke import rational_certificate
-from heckebn.modular import certify_mod
+from heckebn.modular import certify_mod, find_gpk, valid_primes_above
 from heckebn.numbers import is_prime
-from heckebn.poly import GradedPoly, PolyMatrix
+from heckebn.poly import GradedPoly
 from oracles import det_bareiss, pair_by_reduction, reduce_mod
 
 
 @functools.lru_cache(maxsize=None)
 def _valid_certificates() -> tuple:
-    modular = [certify_mod(k, fallback=True) for k in range(1, 9)]
+    # the first admissible prime: g > 2k and 3g - 3 >= k(k+1)/2
+    modular = [certify_mod(k, max(find_gpk(k), *valid_primes_above(k, 1))) for k in range(1, 9)]
     rational = [rational_certificate(g, k).certificate for g, k in ((5, 2), (8, 3))]
     return tuple(modular + rational)
 
@@ -33,7 +34,7 @@ def _valid_certificates() -> tuple:
 @functools.lru_cache(maxsize=None)
 def _pk_bareiss(k: int):
     c = [chern_full(n) for n in range(2 * k)]
-    return det_bareiss(PolyMatrix.build(giambelli_rows(k, c, GradedPoly.zero())))
+    return det_bareiss(giambelli_rows(k, c, GradedPoly.zero()))
 
 
 def _confirm_modular(c) -> None:

@@ -90,6 +90,16 @@ def test_mod_cert_inapplicable(capsys):
     assert "inapplicable" in err
     code, _, err = run_cli(capsys, "mod-cert", "--k", "3", "--prime", "5")
     assert code == 3
+    # 47 > 2k, but the expected dimension is negative there
+    code, _, err = run_cli(capsys, "mod-cert", "--k", "17", "--prime", "47")
+    assert code == 3 and "inapplicable" in err
+
+
+def test_mod_cert_rejects_non_prime(capsys):
+    # a g that is not an odd prime is a usage error, not an inapplicable prime
+    for g in ("15", "2"):
+        code, out, err = run_cli(capsys, "mod-cert", "--k", "3", "--prime", g)
+        assert (code, out) == (2, "") and "not an odd prime" in err
 
 
 def test_rational_cert(capsys):

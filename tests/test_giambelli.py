@@ -195,4 +195,3 @@ def test_pk_record_round_trip():
     back = PkRecord.from_json_obj(obj)
     assert back.polynomial == rec.polynomial
     assert back.variant == "full"
-    assert back.created is None

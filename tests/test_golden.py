@@ -19,15 +19,10 @@ from fractions import Fraction
 
 import pytest
 
+from heckebn.certificates import admissible_prime
 from heckebn.giambelli import pk_beta, pk_eval, pk_full
 from heckebn.hecke import candidate_monomials, pair_with_monomial, rational_certificate
-from heckebn.modular import (
-    _usable_prime,
-    certify_mod,
-    find_gpk,
-    mj_mod,
-    valid_primes_above,
-)
+from heckebn.modular import certify_mod, find_gpk, mj_mod, valid_primes_above
 from heckebn.numbers import format_rational
 from heckebn.store import Store
 from heckebn.verdict import emit_table
@@ -81,7 +76,7 @@ def test_thm61_certificate_hashes():
 
 def _mj_primes(k: int) -> list[int]:
     """find_gpk(k), the first two primes above 2k and 1009, without repeats."""
-    assert _usable_prime(k, 1009)
+    assert admissible_prime(k, 1009)
     out: list[int] = []
     for g in (find_gpk(k), *valid_primes_above(k), 1009):
         if g not in out:

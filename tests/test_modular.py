@@ -1,18 +1,17 @@
-"""Prime-field M_j computation and the two nonzero-residue criteria."""
+"""Prime-field M_j computation, the criterion sweep and modular certificates."""
 
 import dataclasses
 import json
 
 import pytest
 
-from heckebn.certificates import Certificate
+from heckebn.certificates import Certificate, admissible_prime, sweep_criteria
 from heckebn.errors import InapplicablePrimeError
 from heckebn.giambelli import pk_beta
+from heckebn.numbers import factorial_mod, next_prime
 from heckebn.modular import (
     ModularRun,
     certify_mod,
-    criterion_e61,
-    criterion_e62,
     find_gk,
     find_gpk,
     mj_mod,
@@ -89,6 +88,10 @@ def test_mj_matches_rational_reduction():
 
 def test_mj_unit_is_minus_one():
     # Wilson: (g-1)! = -1, and 2^{g-1} = 1 by Fermat, so u = -1 mod g
+    g = 3
+    while g < 2000:
+        assert factorial_mod(g - 1, g) * pow(2, g - 1, g) % g == g - 1, g
+        g = next_prime(g)
     for k, g in [(1, 3), (2, 5), (3, 11), (5, 13), (10, 23)]:
         assert mj_mod(k, g).unit == g - 1
 
@@ -100,20 +103,50 @@ def test_mj_degree_bound():
 
 
 def test_criterion_e61():
-    run = mj_mod(3, 11)
-    assert criterion_e61(run) == (4, True)
+    cert = sweep_criteria(mj_mod(3, 11))
+    assert (cert.criterion, cert.ell, cert.witness_residue) == ("e6.1", 0, 4)
     # indices 5 and 10 exceed the beta-degree, so only M_0 contributes
+    assert (cert.m_indices, cert.m_values) == ((0, 5, 10), (4, 0, 0))
+    assert cert.verify(deep=True)
+
+
+def _e62_claim(run: ModularRun, ell: int) -> Certificate:
+    idx = ((run.g - 1) // 2 - ell, run.g - 1 - ell)
+    values = tuple(run.m_at(i) for i in idx)
+    return Certificate(
+        kind="modular", k=run.k, g0=run.g, criterion="e6.2", ell=ell, unit=run.unit,
+        witness_residue=sum(values) % run.g, m_indices=idx, m_values=values,
+    )
 
 
 def test_criterion_e62():
     run = mj_mod(3, 11)
-    assert criterion_e62(run, 1) == (0, False)
+    # l = 1 sums M_4 + M_9 = 0, which certifies nothing
+    assert _e62_claim(run, 1).witness_residue == 0
+    assert not _e62_claim(run, 1).verify()
     # l = 3 reaches M_2 = 5 at index (g-1)/2 - 3 = 2
-    assert criterion_e62(run, 3) == (5, True)
-    with pytest.raises(ValueError):
-        criterion_e62(run, 0)
-    with pytest.raises(ValueError):
-        criterion_e62(run, run.e // 2 + 1)
+    assert _e62_claim(run, 3).witness_residue == 5
+    assert _e62_claim(run, 3).verify(deep=True)
+    # l = 0 and l > e/2 are outside e6.2, whatever the residues
+    for ell in (0, run.e // 2 + 1):
+        bad = dataclasses.replace(_e62_claim(run, 3), ell=ell)
+        assert not bad.verify()
+
+
+def test_sweep_synthetic_runs():
+    # no real (k, g) with k <= 14, g < 140 needs e6.2 beyond l = 1, so the
+    # sweep order is checked on runs built by hand: e6.1 sums to 0, e6.2 sums
+    # to 0 at l = 1, 2 and first reaches M_2 at l = 3
+    run = ModularRun(k=3, g=11, unit=10, m=(0, 2, 5), e=24)
+    cert = sweep_criteria(run)
+    assert (cert.criterion, cert.ell, cert.witness_residue) == ("e6.2", 3, 5)
+    assert (cert.m_indices, cert.m_values) == ((2, 7), (5, 0))
+    assert cert.verify()
+    # M_2 = 5 is also the true residue at (3, 11)
+    assert cert.verify(deep=True)
+    # every sum is 0: inconclusive
+    assert sweep_criteria(ModularRun(k=3, g=11, unit=10, m=(0, 0, 0), e=24)) is None
+    assert sweep_criteria(ModularRun(k=3, g=11, unit=10, m=(0,), e=24)) is None
 
 
 def test_certify_mod_prime_sweep():
@@ -135,20 +168,40 @@ def test_certify_mod_17_details():
     cert = certify_mod(17)
     assert cert.g0 == 53
     assert cert.m_indices == (25, 51)
-    assert criterion_e61(mj_mod(17, 53))[1] is False
+    assert (cert.criterion, cert.ell) == ("e6.2", 1)
+    # e6.1 sums to 0 at (17, 53), so the sweep moved on
+    assert sum(mj_mod(17, 53).m_at(i) for i in (0, 26, 52)) % 53 == 0
     assert cert.verify(deep=True)
 
 
 def test_certify_mod_inapplicable_defaults():
-    for k in (8, 9):
+    # find_gpk(8) = 13 and find_gpk(9) = 17 do not exceed 2k; the next
+    # primes above 2k do
+    for k, g in ((8, 17), (9, 19)):
         with pytest.raises(InapplicablePrimeError):
             certify_mod(k)
-    cert8 = certify_mod(8, fallback=True)
-    assert cert8 is not None and cert8.g0 == 17
-    cert9 = certify_mod(9, fallback=True)
-    assert cert9 is not None and cert9.g0 == 19
-    with pytest.raises(ValueError):
-        certify_mod(3, g=15)
+        cert = certify_mod(k, g)
+        assert cert is not None and cert.g0 == g and cert.verify()
+    # 47 > 2 * 17, but e = 3 * 47 - 3 - 153 < 0
+    with pytest.raises(InapplicablePrimeError):
+        certify_mod(17, 47)
+    for g in (15, 2, 1):
+        with pytest.raises(ValueError):
+            certify_mod(3, g=g)
+
+
+def test_admissible_prime():
+    # an odd prime g > 2k with e = 3g - 3 - k(k+1)/2 >= 0
+    assert admissible_prime(8, 17) and admissible_prime(17, 53)
+    assert not admissible_prime(8, 13)  # g <= 2k
+    assert not admissible_prime(17, 47)  # e < 0
+    assert not admissible_prime(3, 15)  # not prime
+    assert not admissible_prime(0, 2)  # not odd
+    for k in range(1, 15):
+        above = valid_primes_above(k, 40)
+        for g in range(2, 140):
+            expected = g in above and 6 * (g - 1) >= k * (k + 1)
+            assert admissible_prime(k, g) == expected, (k, g)
 
 
 def test_certificate_json_round_trip():
@@ -205,7 +258,11 @@ def test_verify_rejects_bad_prime_without_raising():
         kind="modular", k=10, g0=7, criterion="e6.1", unit=1,
         witness_residue=1, m_indices=(0, 3, 6), m_values=(1, 0, 0),
     )
-    for cert in (composite, too_small):
+    negative_e = Certificate(
+        kind="modular", k=17, g0=47, criterion="e6.1", unit=46,
+        witness_residue=1, m_indices=(0, 23, 46), m_values=(1, 0, 0),
+    )
+    for cert in (composite, too_small, negative_e):
         assert not cert.verify()
         assert not cert.verify(deep=True)
 

@@ -182,7 +182,6 @@ def test_store_round_trip(tmp_path):
     back = store.get_certificate("modular", 10, cert.g0)
     assert back == cert
     assert store.get_certificate("modular", 10, 9973) is None
-    assert store.certificates_for("modular", 10) == [cert]
     blob = store.path_for(digest)
     assert blob.exists()
     rec = pk_beta(4, store=store)
@@ -215,7 +214,6 @@ def test_store_rejects_corrupt_ref(tmp_path):
                     other_digest, "../x", "../store/" + digest]:
         ref.write_text(content)
         assert store.get_certificate("modular", 11, cert.g0) is None, content
-        assert store.certificates_for("modular", 11) == []
     ref.write_text(digest)
     assert store.get_certificate("modular", 11, cert.g0) == cert
 
@@ -268,9 +266,9 @@ def test_store_concurrent_writers_keep_every_key(tmp_path):
     assert all(not p.is_alive() and p.exitcode == 0 for p in procs)
     store = Store(tmp_path)
     written = [c for w in range(4) for c in _race_certificates(w)]
+    assert len({c.g0 for c in written}) == 160
     lost = [c.g0 for c in written if store.get_certificate("modular", 10, c.g0) != c]
     assert lost == []
-    assert store.certificates_for("modular", 10) == written
 
 
 @st.composite
@@ -300,7 +298,6 @@ def test_certificate_and_store_round_trip(cert, pos, flip):
         store = Store(root)
         digest = store.put_certificate(cert)
         assert store.get_certificate(cert.kind, cert.k, cert.g0) == cert
-        assert store.certificates_for(cert.kind, cert.k) == [cert]
         blob = store.path_for(digest)
         data = bytearray(blob.read_bytes())
         data[pos % len(data)] ^= flip
