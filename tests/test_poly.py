@@ -97,7 +97,10 @@ def test_exact_div():
 
 def _rows(rows) -> list[list[GradedPoly]]:
     """Matrix rows with every scalar entry made a constant polynomial."""
-    return [[x if isinstance(x, GradedPoly) else GradedPoly.constant(x) for x in row] for row in rows]
+    return [
+        [x if isinstance(x, GradedPoly) else GradedPoly.constant(x) for x in row]
+        for row in rows
+    ]
 
 
 def test_det_small_examples():
