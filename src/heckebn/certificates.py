@@ -28,6 +28,7 @@ from .numbers import format_rational, is_prime, parse_rational
 __all__ = [
     "SCHEMA_VERSION",
     "Certificate",
+    "expected_dimension",
     "admissible_prime",
     "sweep_criteria",
     "canonical_json_bytes",
@@ -46,7 +47,8 @@ def content_hash(obj) -> str:
     return hashlib.sha256(canonical_json_bytes(obj)).hexdigest()
 
 
-def _expected_dimension(g0: int, k: int) -> int:
+def expected_dimension(g0: int, k: int) -> int:
+    """Expected dimension e = 3g0 - 3 - k(k+1)/2 of B(2, K, k) at genus g0."""
     return 3 * g0 - 3 - k * (k + 1) // 2
 
 
@@ -55,7 +57,7 @@ def admissible_prime(k: int, g0: int) -> bool:
     return (
         g0 > 2 * k
         and g0 != 2
-        and _expected_dimension(g0, k) >= 0
+        and expected_dimension(g0, k) >= 0
         and is_prime(g0)
     )
 
@@ -127,23 +129,36 @@ class Certificate:
     def verify(self, deep: bool = False) -> bool:
         """Recheck the witness; deep recomputes it from the parameters alone.
 
-        Returns False, never raises, when the parameters are outside the
-        range where the criterion proves anything.  A deep check of a
-        rational certificate needs the trivariate P_k, so above
-        PK_FULL_DEFAULT_LIMIT it returns False as well.
+        Returns False, never raises, when a field has the wrong type or the
+        parameters are outside the range where the criterion proves
+        anything.  A deep check of a rational certificate needs the
+        trivariate P_k, so above PK_FULL_DEFAULT_LIMIT it returns False as
+        well.
         """
-        if self.k < 1:
+        if not self._well_typed() or self.k < 1:
             return False
         if self.kind == "modular":
             return self._verify_modular(deep)
         return self._verify_rational(deep)
+
+    def _well_typed(self) -> bool:
+        """Whether every integer field holds ints; unit and residue may be None."""
+        try:
+            ints = [self.k, self.g0, self.ell, *self.m_indices, *self.m_values,
+                    *(() if self.monomial is None else self.monomial)]
+        except TypeError:
+            return False
+        ints += [v for v in (self.unit, self.witness_residue) if v is not None]
+        return all(type(v) is int for v in ints) and isinstance(
+            self.witness_value, (type(None), int, Fraction)
+        )
 
     def _verify_modular(self, deep: bool) -> bool:
         g0 = self.g0
         if not admissible_prime(self.k, g0):
             return False
         expected_idx = _criterion_indices(
-            g0, _expected_dimension(g0, self.k), self.criterion, self.ell
+            g0, expected_dimension(g0, self.k), self.criterion, self.ell
         )
         if expected_idx is None or list(self.m_indices) != expected_idx:
             return False
@@ -172,7 +187,7 @@ class Certificate:
         if mono is None or len(mono) != 4 or min(mono) < 0:
             return False
         a, b, c, d = mono
-        e = _expected_dimension(self.g0, self.k)
+        e = expected_dimension(self.g0, self.k)
         if e < 0 or a + 2 * b + 3 * c + d != e + 1:
             return False
         if self.witness_value is None or self.witness_value == 0:

@@ -153,7 +153,7 @@ def _pk_slice(k: int, gamma0: int) -> GradedPoly:
 def _pk_trivariate(k: int) -> GradedPoly:
     """P_k(h, beta, gamma) from its slices at gamma0 = 0..floor(W/3)."""
     w = k * (k + 1) // 2
-    slices = [_pk_slice(k, g0).beta_coefficients() for g0 in range(w // 3 + 1)]
+    slices = [_pk_slice(k, g0).coeffs_in("beta") for g0 in range(w // 3 + 1)]
     terms = {}
     for n in range(max(map(len, slices))):
         ys = [s[n] if n < len(s) else Fraction(0) for s in slices]
@@ -213,12 +213,9 @@ class DegreeReport:
     def equality(self) -> bool:
         return self.degree == self.bound
 
-    def __bool__(self) -> bool:
-        return self.within_bound
 
-
-def degree_check(k: int, store=None) -> DegreeReport:
-    poly = pk_beta(k, store).polynomial
+def degree_check(k: int) -> DegreeReport:
+    poly = pk_beta(k).polynomial
     return DegreeReport(k, poly.degree_in("beta"), k * k // 4)
 
 
@@ -236,11 +233,11 @@ def conjecture_bound(k: int, i: int) -> int:
     return (k - i + 1) // 2
 
 
-def multiplicity_profile(k: int, store=None) -> list[tuple[int, int]]:
+def multiplicity_profile(k: int) -> list[tuple[int, int]]:
     """Exact multiplicity of beta = 1/i^2 in P_k(1, beta, 0) for 1 <= i <= k-1."""
     if k < 2:
         raise ValueError("multiplicity profile needs k >= 2")
-    poly = pk_beta(k, store).polynomial
+    poly = pk_beta(k).polynomial
     return [
         (i, root_multiplicity(poly, Fraction(1, i * i))) for i in range(1, k)
     ]

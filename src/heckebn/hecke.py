@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .certificates import Certificate
+from .certificates import Certificate, expected_dimension
 from .errors import NegativeExpectedDimensionError
 from .giambelli import pk_full
 from .numbers import bernoulli, binomial, is_prime
@@ -149,7 +149,7 @@ def rational_certificate(
         raise ValueError("need g >= 2 and k >= 1")
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
-    e = 3 * g - 3 - k * (k + 1) // 2
+    e = expected_dimension(g, k)
     if e < 0:
         raise NegativeExpectedDimensionError(g, k, e)
     pk = pk_full(k, store).polynomial

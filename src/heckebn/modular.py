@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .certificates import Certificate, admissible_prime, sweep_criteria
+from .certificates import Certificate, admissible_prime, expected_dimension, sweep_criteria
 from .chern import tilde_mod_coeffs
 from .errors import InapplicablePrimeError
 from .giambelli import giambelli_rows
@@ -108,8 +108,7 @@ def mj_mod(k: int, g: int) -> ModularRun:
         raise AssertionError(
             f"M_j nonzero beyond the floor(k^2/4) degree bound at k={k}, g={g}"
         )
-    e = 3 * g - 3 - k * (k + 1) // 2
-    return ModularRun(k=k, g=g, unit=u, m=tuple(coeffs), e=e)
+    return ModularRun(k=k, g=g, unit=u, m=tuple(coeffs), e=expected_dimension(g, k))
 
 
 def certify_mod(k: int, g: int | None = None) -> Certificate | None:

@@ -2,7 +2,7 @@
 
 All arithmetic in the package is exact.  Rationals are stdlib
 fractions.Fraction; this module fixes their canonical string form and
-provides the Bernoulli table feeding the intersection-number formula.
+memoizes the Bernoulli numbers feeding the intersection-number formula.
 Prime-field residues are plain ints reduced by their callers.
 
 Bernoulli convention: B_1 = -1/2 (the x/(e^x - 1) expansion).  Callers of the
@@ -22,7 +22,6 @@ __all__ = [
     "binomial",
     "is_prime",
     "next_prime",
-    "BernoulliTable",
     "bernoulli",
     "factorial_mod",
 ]
@@ -41,7 +40,13 @@ def format_rational(q: Fraction | int) -> str:
 
 
 def parse_rational(s: str) -> Fraction:
-    """Inverse of format_rational; accepts any "num" or "num/den" string."""
+    """Inverse of format_rational; accepts any "num" or "num/den" string.
+
+    Anything but a str raises TypeError, so a reader of stored records treats
+    a malformed coefficient as a bad record.
+    """
+    if not isinstance(s, str):
+        raise TypeError(f"rational must be a string, not {type(s).__name__}")
     return Fraction(s.strip())
 
 
@@ -101,38 +106,26 @@ def next_prime(n: int) -> int:
 # Bernoulli numbers
 
 
-class BernoulliTable:
-    """Memoized Bernoulli numbers via sum(C(q+1, j) * B_j, j=0..q) == 0.
-
-    Negative indices give 0.  Extension is guarded by a lock so shared use
-    from several threads stays consistent.
-    """
-
-    def __init__(self) -> None:
-        self._values: list[Fraction] = [Fraction(1)]
-        self._lock = threading.Lock()
-
-    def get(self, q: int) -> Fraction:
-        if q < 0:
-            return Fraction(0)
-        if q >= 3 and q % 2 == 1:
-            return Fraction(0)
-        with self._lock:
-            while len(self._values) <= q:
-                m = len(self._values)
-                acc = Fraction(0)
-                for j in range(m):
-                    acc += binomial(m + 1, j) * self._values[j]
-                self._values.append(-acc / (m + 1))
-            return self._values[q]
-
-
-_BERNOULLI = BernoulliTable()
+_BERNOULLI: list[Fraction] = [Fraction(1)]
+_BERNOULLI_LOCK = threading.Lock()
 
 
 def bernoulli(q: int) -> Fraction:
-    """Bernoulli number B_q, with B_1 = -1/2 and B_q = 0 for q < 0."""
-    return _BERNOULLI.get(q)
+    """Bernoulli number B_q, with B_1 = -1/2 and B_q = 0 for q < 0.
+
+    Memoized via sum(C(q+1, j) * B_j, j=0..q) == 0; the memo grows under a
+    lock, so shared use from several threads stays consistent.
+    """
+    if q < 0 or (q >= 3 and q % 2 == 1):
+        return Fraction(0)
+    with _BERNOULLI_LOCK:
+        while len(_BERNOULLI) <= q:
+            m = len(_BERNOULLI)
+            acc = Fraction(0)
+            for j in range(m):
+                acc += binomial(m + 1, j) * _BERNOULLI[j]
+            _BERNOULLI.append(-acc / (m + 1))
+        return _BERNOULLI[q]
 
 
 # ---------------------------------------------------------------------------

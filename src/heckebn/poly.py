@@ -2,7 +2,9 @@
 
 Coefficients are rationals (stdlib Fraction).  The grading gives h and alpha
 weight 1, beta weight 2, gamma weight 3 ("half-degree": all geometric
-classes here have even cohomological degree).
+classes here have even cohomological degree).  GradedPoly carries what the
+library uses: construction, +, -, *, degree_in, coeffs_in, items and JSON.
+Substitution, evaluation and powers are test oracles (tests/oracles.py).
 
 Rational determinants: det_numeric (integer Bareiss) for scalar matrices and
 det_interpolate for matrices of polynomials in beta, which runs in Python
@@ -111,10 +113,6 @@ class GradedPoly:
         mono = tuple(1 if j == i else 0 for j in range(4))
         return cls({mono: 1})  # type: ignore[dict-item]
 
-    @classmethod
-    def monomial(cls, mono: Monomial, c=1) -> GradedPoly:
-        return cls({tuple(mono): c})  # type: ignore[dict-item]
-
     # -- basic queries -----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -122,9 +120,6 @@ class GradedPoly:
 
     def items(self) -> Iterator[tuple[Monomial, Fraction]]:
         return iter(self.coeffs.items())
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GradedPoly):
@@ -136,17 +131,6 @@ class GradedPoly:
 
     def __hash__(self):
         return hash(frozenset(self.coeffs.items()))
-
-    def coefficient_of(self, mono: Monomial) -> Fraction:
-        return self.coeffs.get(tuple(mono), _ZERO)
-
-    def symbols_used(self) -> set[str]:
-        out: set[str] = set()
-        for mono in self.coeffs:
-            for i, e in enumerate(mono):
-                if e:
-                    out.add(SYMBOLS[i])
-        return out
 
     def degree_in(self, name: str) -> int:
         """Largest exponent of the symbol; -1 on the zero polynomial."""
@@ -162,17 +146,11 @@ class GradedPoly:
             out[mono] = out.get(mono, _ZERO) + c
         return GradedPoly._trusted(out)
 
-    def __radd__(self, other) -> GradedPoly:
-        return self.__add__(other)
-
     def __neg__(self) -> GradedPoly:
         return GradedPoly._trusted({m: -c for m, c in self.coeffs.items()})
 
     def __sub__(self, other) -> GradedPoly:
         return self.__add__(-self._coerce(other))
-
-    def __rsub__(self, other) -> GradedPoly:
-        return (-self).__add__(other)
 
     def __mul__(self, other) -> GradedPoly:
         if isinstance(other, (int, Fraction)):
@@ -190,18 +168,6 @@ class GradedPoly:
     def __rmul__(self, other) -> GradedPoly:
         return self.__mul__(other)
 
-    def __pow__(self, n: int) -> GradedPoly:
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out = GradedPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
-
     def _coerce(self, other) -> GradedPoly:
         if isinstance(other, GradedPoly):
             return other
@@ -209,46 +175,18 @@ class GradedPoly:
             return GradedPoly.constant(other)
         raise TypeError(f"cannot combine GradedPoly with {type(other)!r}")
 
-    # -- substitution ------------------------------------------------------
-
-    def substitute(self, **values) -> GradedPoly:
-        """Bind some symbols to scalars; the rest stay symbolic."""
-        idx = {}
-        for name, v in values.items():
-            if name not in SYMBOLS:
-                raise ValueError(f"unknown symbol {name!r}")
-            idx[SYMBOLS.index(name)] = Fraction(v)
-        out: dict[Monomial, Fraction] = {}
-        for mono, c in self.coeffs.items():
-            for i, v in idx.items():
-                e = mono[i]
-                if e:
-                    c = c * v**e
-            rest = tuple(0 if i in idx else e for i, e in enumerate(mono))
-            out[rest] = out.get(rest, _ZERO) + c
-        return GradedPoly._trusted(out)
-
-    def evaluate(self, **values) -> Fraction:
-        """Bind every symbol that occurs and return the scalar value."""
-        r = self.substitute(**values)
-        if r.symbols_used():
-            missing = sorted(r.symbols_used())
-            raise ValueError(f"unbound symbols in evaluation: {missing}")
-        return r.coefficient_of(_ZERO_MONO)
+    # -- univariate view ---------------------------------------------------
 
     def coeffs_in(self, name: str) -> list[Fraction]:
         """Ascending coefficient list for a univariate polynomial in `name`."""
-        extra = self.symbols_used() - {name}
+        i = SYMBOLS.index(name)
+        extra = {SYMBOLS[j] for m in self.coeffs for j, e in enumerate(m) if e and j != i}
         if extra:
             raise ValueError(f"not univariate in {name}: also uses {sorted(extra)}")
-        i = SYMBOLS.index(name)
         out = [_ZERO] * max(self.degree_in(name) + 1, 1)
         for mono, c in self.coeffs.items():
             out[mono[i]] = c
         return out
-
-    def beta_coefficients(self) -> list[Fraction]:
-        return self.coeffs_in("beta")
 
     # -- serialization -----------------------------------------------------
 
@@ -288,14 +226,9 @@ BETA = GradedPoly.symbol("beta")
 GAMMA = GradedPoly.symbol("gamma")
 
 
-def poly_from_coeffs(coeffs: Iterable, name: str = "beta") -> GradedPoly:
-    """Univariate polynomial from an ascending coefficient list."""
-    i = SYMBOLS.index(name)
-    d = {}
-    for e, c in enumerate(coeffs):
-        mono = tuple(e if j == i else 0 for j in range(4))
-        d[mono] = c
-    return GradedPoly(d)
+def poly_from_coeffs(coeffs: Iterable) -> GradedPoly:
+    """Polynomial in beta from an ascending coefficient list."""
+    return GradedPoly({(0, 0, e, 0): c for e, c in enumerate(coeffs)})
 
 
 # ---------------------------------------------------------------------------
@@ -587,8 +520,8 @@ def det_mod_univariate(coeff_rows: list[list[list[int]]], p: int) -> list[int]:
     return [int(c) if sign > 0 else int(p - c) % p for c in _trim_block(a[0, 0])] or [0]
 
 
-def root_multiplicity(p: GradedPoly, root: Fraction | int, name: str = "beta") -> int:
-    """Multiplicity of `root` in a univariate polynomial.
+def root_multiplicity(p: GradedPoly, root: Fraction | int) -> int:
+    """Multiplicity of `root` in a polynomial in beta.
 
     The coefficients are scaled once to integers.  For root = a/b in lowest
     terms, (b*x - a) is primitive, so by Gauss's lemma it divides an integer
@@ -598,7 +531,7 @@ def root_multiplicity(p: GradedPoly, root: Fraction | int, name: str = "beta") -
     """
     if p.is_zero():
         raise ValueError("zero polynomial has no well-defined root multiplicity")
-    coeffs = p.coeffs_in(name)
+    coeffs = p.coeffs_in("beta")
     l = math.lcm(*(c.denominator for c in coeffs))
     f = [c.numerator * (l // c.denominator) for c in coeffs]
     root = Fraction(root)

@@ -22,7 +22,7 @@ import io
 import json
 from dataclasses import dataclass, field
 
-from .certificates import Certificate, admissible_prime
+from .certificates import Certificate, admissible_prime, expected_dimension
 from .giambelli import PK_FULL_DEFAULT_LIMIT
 from .hecke import rational_certificate
 from .modular import certify_mod, find_gk, find_gpk, theorem43_gate, valid_primes_above
@@ -56,7 +56,7 @@ def beta_rank2(g: int, k: int) -> int:
     """Expected dimension of B(2,K,k): 3g - 3 - k(k+1)/2."""
     if g < 2 or k < 1:
         raise ValueError("need g >= 2 and k >= 1")
-    return 3 * g - 3 - k * (k + 1) // 2
+    return expected_dimension(g, k)
 
 
 # (g, k) -> (class_status, class_level, locus_status, locus_level)

@@ -7,7 +7,8 @@ exponential generating series against the Chern recurrence, a pairing over
 the Hecke correspondence that reduces each h^r by iterating
 h^2 = alpha h - (alpha^2 - beta)/4 against the library's binomial closed
 form for the h-coefficient, von Staudt-Clausen against the Bernoulli table,
-and so on.
+and so on.  The polynomial algebra that only tests need, substitution,
+evaluation and powers of a GradedPoly, lives here too.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Sequence
 from heckebn.giambelli import closed_form_14, pk_eval
 from heckebn.hecke import thaddeus_number
 from heckebn.numbers import binomial, is_prime
-from heckebn.poly import ALPHA, BETA, GAMMA, WEIGHTS, H, GradedPoly
+from heckebn.poly import ALPHA, BETA, GAMMA, SYMBOLS, WEIGHTS, H, GradedPoly
 
 
 def reduce_mod(coeffs: list, g: int) -> list[int]:
@@ -31,6 +32,39 @@ def reduce_mod(coeffs: list, g: int) -> list[int]:
             raise ZeroDivisionError(f"denominator of {c} vanishes mod {g}")
         out.append(c.numerator * pow(c.denominator, -1, g) % g)
     return out
+
+
+# ---------------------------------------------------------------------------
+# substitution and powers, term by term
+
+
+def substitute(p: GradedPoly, **values) -> GradedPoly:
+    """Bind some symbols to scalars; the rest stay symbolic.  An unknown
+    symbol raises ValueError."""
+    bound = [(SYMBOLS.index(name), Fraction(v)) for name, v in values.items()]
+    out: dict = {}
+    for mono, c in p.items():
+        rest = list(mono)
+        for i, v in bound:
+            c, rest[i] = c * v ** mono[i], 0
+        out[tuple(rest)] = out.get(tuple(rest), 0) + c
+    return GradedPoly(out)
+
+
+def evaluate(p: GradedPoly, **values) -> Fraction:
+    """Bind every symbol that occurs and return the scalar value."""
+    r = substitute(p, **values)
+    missing = sorted({SYMBOLS[i] for mono in r.coeffs for i, e in enumerate(mono) if e})
+    if missing:
+        raise ValueError(f"unbound symbols in evaluation: {missing}")
+    return r.coeffs.get((0, 0, 0, 0), Fraction(0))
+
+
+def power(p: GradedPoly, n: int) -> GradedPoly:
+    """p^n for n >= 0 by repeated multiplication."""
+    if n < 0:
+        raise ValueError("negative power of a polynomial")
+    return functools.reduce(lambda acc, _: acc * p, range(n), GradedPoly.one())
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +178,7 @@ def _exp_series(upto: int) -> list[GradedPoly]:
     while 2 * m + 1 < len(s):
         s[2 * m + 1] = (
             (BETA * H * _QUARTER - GAMMA * Fraction(m, 2))
-            * BETA ** (m - 1)
+            * power(BETA, m - 1)
             * _QUARTER ** (m - 1)
             * Fraction(1, 2 * m + 1)
         )
@@ -188,7 +222,7 @@ def h_power_by_reduction(r: int) -> tuple[GradedPoly, GradedPoly]:
     f, fprime = GradedPoly.one(), GradedPoly.zero()
     for _ in range(r - 1):
         # h * (f h + f') = (f alpha + f') h + f (beta - alpha^2)/4
-        f, fprime = f * ALPHA + fprime, f * (BETA - ALPHA**2) * _QUARTER
+        f, fprime = f * ALPHA + fprime, f * (BETA - ALPHA * ALPHA) * _QUARTER
     return f, fprime
 
 
@@ -210,7 +244,7 @@ def pair_by_reduction(
     """Integral over H of poly * alpha^a beta^b gamma^c h^d: the h-coefficient
     by iterated reduction, each of its terms paired by thaddeus_number."""
     a, b, c, d = monomial
-    f = h_coefficient_by_reduction(poly * GradedPoly.monomial((d, a, b, c)))
+    f = h_coefficient_by_reduction(poly * GradedPoly({(d, a, b, c): 1}))
     return sum(
         (coeff * thaddeus_number(g, m, n, p) for (_, m, n, p), coeff in f.items()),
         Fraction(0),

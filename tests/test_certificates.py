@@ -1,10 +1,11 @@
 """Single-field mutations of valid certificates.
 
-verify(deep=True) must answer every mutant with a bool.  A mutant that still
-verifies must carry a true claim, which is confirmed here without the
-library's determinant engines or its pairing: modular residues from
-P_k(1, beta, 0) reduced mod g0 and scaled by unit^k, rational pairings of P_k
-computed by fraction-free Bareiss, each h^r reduced by iteration.
+verify(deep=True) must answer every mutant with a bool, also one with a field
+of the wrong type.  A mutant that still verifies must carry a true claim,
+which is confirmed here without the library's determinant engines or its
+pairing: modular residues from P_k(1, beta, 0) reduced mod g0 and scaled by
+unit^k, rational pairings of P_k computed by fraction-free Bareiss, each h^r
+reduced by iteration.
 """
 
 import dataclasses
@@ -42,7 +43,7 @@ def _confirm_modular(c) -> None:
     e = 3 * g - 3 - k * (k + 1) // 2
     assert is_prime(g) and g > 2 * k and e >= 0
     unit_k = pow(math.factorial(g - 1) * 2 ** (g - 1), k, g)
-    coeffs = reduce_mod(pk_beta(k).polynomial.beta_coefficients(), g)
+    coeffs = reduce_mod(pk_beta(k).polynomial.coeffs_in("beta"), g)
     m = [x * unit_k % g for x in coeffs]
 
     def m_at(j: int) -> int:
@@ -63,19 +64,23 @@ def _confirm_rational(c) -> None:
 
 small_ints = st.integers(-3, 60)
 int_tuples = st.lists(small_ints, max_size=5).map(tuple)
+# values of the wrong type for every field but kind and generated_by
+ill_typed = st.sampled_from([None, "41", 41.0, (None, 1, 2)])
 
 MUTATIONS = {
     "kind": st.sampled_from(["modular", "rational"]),
-    "k": st.integers(-2, 10),
-    "g0": small_ints,
-    "criterion": st.sampled_from(["e6.1", "e6.2", "pairing", "", "E6.1"]),
-    "ell": st.integers(-2, 20),
-    "unit": st.none() | small_ints,
-    "witness_residue": st.none() | small_ints,
-    "m_indices": int_tuples,
-    "m_values": int_tuples,
-    "monomial": st.none() | int_tuples,
-    "witness_value": st.none() | st.fractions(-(10**6), 10**6, max_denominator=100),
+    "k": st.integers(-2, 10) | ill_typed,
+    "g0": small_ints | ill_typed,
+    "criterion": st.sampled_from(["e6.1", "e6.2", "pairing", "", "E6.1"]) | ill_typed,
+    "ell": st.integers(-2, 20) | ill_typed,
+    "unit": st.none() | small_ints | ill_typed,
+    "witness_residue": st.none() | small_ints | ill_typed,
+    "m_indices": int_tuples | ill_typed,
+    "m_values": int_tuples | ill_typed,
+    "monomial": st.none() | int_tuples | ill_typed,
+    "witness_value": st.none()
+    | st.fractions(-(10**6), 10**6, max_denominator=100)
+    | ill_typed,
     "generated_by": st.text(max_size=8),
 }
 

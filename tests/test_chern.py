@@ -12,20 +12,28 @@ from hypothesis import strategies as st
 from heckebn.chern import _chern_sequence, chern_full, chern_tilde, tilde_mod_coeffs
 from heckebn.numbers import factorial_mod, is_prime
 from heckebn.poly import BETA, GAMMA, H, GradedPoly
-from oracles import beta4_closed_form, chern_oracle, is_homogeneous, reduce_mod
+from oracles import (
+    beta4_closed_form,
+    chern_oracle,
+    evaluate,
+    is_homogeneous,
+    power,
+    reduce_mod,
+    substitute,
+)
 
 
 def test_full_seed_values():
     assert chern_full(-2).is_zero()
     assert chern_full(0) == GradedPoly.constant(2)
     assert chern_full(1) == H
-    assert chern_full(2) == H**2 * Fraction(1, 2)
+    assert chern_full(2) == power(H, 2) * Fraction(1, 2)
     assert chern_full(3) == (
-        H**3 * Fraction(1, 6) + BETA * H * Fraction(1, 12) - GAMMA * Fraction(1, 6)
+        power(H, 3) * Fraction(1, 6) + BETA * H * Fraction(1, 12) - GAMMA * Fraction(1, 6)
     )
     assert chern_full(4) == (
-        H**4 * Fraction(1, 24)
-        + BETA * H**2 * Fraction(1, 12)
+        power(H, 4) * Fraction(1, 24)
+        + BETA * power(H, 2) * Fraction(1, 12)
         - GAMMA * H * Fraction(1, 6)
     )
 
@@ -33,10 +41,10 @@ def test_full_seed_values():
 def test_full_first_recurrence_step():
     # c_5 worked out by hand from the four-term recurrence at n = 1
     expected = (
-        H**5 * Fraction(1, 120)
-        + BETA * H**3 * Fraction(1, 24)
-        + BETA**2 * H * Fraction(1, 80)
-        - GAMMA * H**2 * Fraction(1, 12)
+        power(H, 5) * Fraction(1, 120)
+        + BETA * power(H, 3) * Fraction(1, 24)
+        + power(BETA, 2) * H * Fraction(1, 80)
+        - GAMMA * power(H, 2) * Fraction(1, 12)
         - BETA * GAMMA * Fraction(1, 20)
     )
     assert chern_full(5) == expected
@@ -55,17 +63,17 @@ def test_full_homogeneous():
 
 def test_tilde_matches_specialization():
     for n in range(31):
-        assert chern_tilde(n) == chern_full(n).substitute(h=1, gamma=0)
+        assert chern_tilde(n) == substitute(chern_full(n), h=1, gamma=0)
 
 
 def test_tilde_values():
     assert chern_tilde(0) == GradedPoly.constant(2)
     assert chern_tilde(1) == GradedPoly.one()
     assert chern_tilde(2) == GradedPoly.constant(Fraction(1, 2))
-    assert chern_tilde(3) == Fraction(1, 6) + BETA * Fraction(1, 12)
-    assert chern_tilde(4) == Fraction(1, 24) + BETA * Fraction(1, 12)
+    assert chern_tilde(3) == BETA * Fraction(1, 12) + Fraction(1, 6)
+    assert chern_tilde(4) == BETA * Fraction(1, 12) + Fraction(1, 24)
     assert chern_tilde(5) == (
-        Fraction(1, 120) + BETA * Fraction(1, 24) + BETA**2 * Fraction(1, 80)
+        power(BETA, 2) * Fraction(1, 80) + BETA * Fraction(1, 24) + Fraction(1, 120)
     )
 
 
@@ -105,7 +113,7 @@ def test_beta4_closed_form():
     assert beta4_closed_form(4) == Fraction(3, 8)
     assert beta4_closed_form(6) == Fraction(5, 16)
     for n in range(51):
-        assert beta4_closed_form(n) == chern_tilde(n).evaluate(beta=4)
+        assert beta4_closed_form(n) == evaluate(chern_tilde(n), beta=4)
     with pytest.raises(ValueError):
         beta4_closed_form(-1)
 
@@ -171,7 +179,7 @@ def test_scalar_sequence_matches_oracle(h0, beta0, gamma0):
     c = _chern_sequence([Fraction(1)], 20, h0, beta0, gamma0)
     assert c[0] == 1
     for n in range(1, 21):
-        assert c[n] == chern_oracle(n).evaluate(h=h0, beta=beta0, gamma=gamma0), n
+        assert c[n] == evaluate(chern_oracle(n), h=h0, beta=beta0, gamma=gamma0), n
 
 
 ODD_PRIMES = [p for p in range(3, 400) if is_prime(p)]
@@ -181,5 +189,5 @@ ODD_PRIMES = [p for p in range(3, 400) if is_prime(p)]
 @given(st.sampled_from(ODD_PRIMES), st.data())
 def test_tilde_mod_matches_oracle(g, data):
     n = data.draw(st.integers(0, min(g, 20) - 1))
-    expected = reduce_mod(chern_oracle(n).substitute(h=1, gamma=0).coeffs_in("beta"), g)
+    expected = reduce_mod(substitute(chern_oracle(n), h=1, gamma=0).coeffs_in("beta"), g)
     assert _trim(tilde_mod_coeffs(n, g)[n]) == _trim(expected)

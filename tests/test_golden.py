@@ -26,6 +26,7 @@ from heckebn.modular import certify_mod, find_gpk, mj_mod, valid_primes_above
 from heckebn.numbers import format_rational
 from heckebn.store import Store
 from heckebn.verdict import emit_table
+from oracles import evaluate
 
 
 def sha256(text: str) -> str:
@@ -122,7 +123,7 @@ def test_mj_residue_digests():
 def test_pk_beta_coefficient_digest():
     # ascending beta-coefficients of P_k(1, beta, 0), k = 1..12, as "num/den"
     rows = [
-        [format_rational(c) for c in pk_beta(k).polynomial.beta_coefficients()]
+        [format_rational(c) for c in pk_beta(k).polynomial.coeffs_in("beta")]
         for k in range(1, 13)
     ]
     assert rows[2] == ["1/360", "-1/72", "1/90"]
@@ -134,7 +135,7 @@ def test_pk_beta_coefficient_digest():
 def test_pk_beta_coefficient_digest_large_k():
     # the same rows for k = 13..20
     rows = [
-        [format_rational(c) for c in pk_beta(k).polynomial.beta_coefficients()]
+        [format_rational(c) for c in pk_beta(k).polynomial.coeffs_in("beta")]
         for k in range(13, 21)
     ]
     assert sha256(json.dumps(rows)) == (
@@ -152,7 +153,7 @@ def test_pk_beta_algorithm_strings():
 def test_pk_beta_off_node_values(x):
     # interpolation nodes are the integers 0..B; these points are not nodes
     for k in range(1, 15):
-        assert pk_beta(k).polynomial.evaluate(beta=x) == pk_eval(k, 1, x, 0)
+        assert evaluate(pk_beta(k).polynomial, beta=x) == pk_eval(k, 1, x, 0)
 
 
 # sha256 of json.dumps(pk_full(k).polynomial.to_json_obj())
@@ -190,7 +191,7 @@ def test_pk_full_off_slice_values(k):
     poly = pk_full(k).polynomial
     for _ in range(6):
         h, beta, gamma = _off_slice_point(rng)
-        assert poly.evaluate(h=h, beta=beta, gamma=gamma) == pk_eval(k, h, beta, gamma)
+        assert evaluate(poly, h=h, beta=beta, gamma=gamma) == pk_eval(k, h, beta, gamma)
 
 
 # Certificate.hash() of rational_certificate(g, k, budget=8); recorded from the

@@ -20,7 +20,7 @@ from heckebn.hecke import (
     thaddeus_number,
 )
 from heckebn.poly import ALPHA, BETA, GAMMA, H, GradedPoly
-from oracles import h_coefficient_by_reduction, h_power_by_reduction, pair_by_reduction
+from oracles import h_coefficient_by_reduction, h_power_by_reduction, pair_by_reduction, power
 
 
 def _monomials(weight: int) -> list[tuple[int, int, int, int]]:
@@ -40,10 +40,10 @@ def _complements(g: int, weight: int) -> list[tuple[int, int, int, int]]:
 
 def test_h_power_small():
     assert h_power_by_reduction(1) == (GradedPoly.one(), GradedPoly.zero())
-    assert h_power_by_reduction(2) == (ALPHA, (BETA - ALPHA**2) * Fraction(1, 4))
+    assert h_power_by_reduction(2) == (ALPHA, (BETA - power(ALPHA, 2)) * Fraction(1, 4))
     assert h_power_by_reduction(3) == (
-        (3 * ALPHA**2 + BETA) * Fraction(1, 4),
-        (ALPHA * BETA - ALPHA**3) * Fraction(1, 4),
+        (3 * power(ALPHA, 2) + BETA) * Fraction(1, 4),
+        (ALPHA * BETA - power(ALPHA, 3)) * Fraction(1, 4),
     )
     with pytest.raises(ValueError):
         h_power_by_reduction(0)
@@ -56,14 +56,14 @@ def test_h_power_formula_vs_reduction():
     for g in range(2, 6):
         for j in range(3 * g - 1):
             for mono in _complements(g, j):
-                want = pair_by_reduction(H**j, mono, g)
-                assert pair_with_monomial(H**j, mono, g) == want, (g, j, mono)
+                want = pair_by_reduction(power(H, j), mono, g)
+                assert pair_with_monomial(power(H, j), mono, g) == want, (g, j, mono)
 
 
 def test_h_power_recurrence_consistency():
     # h^2 - alpha h + (alpha^2 - beta)/4 = 0 in the cohomology of H, so the
     # pairing kills every multiple of it
-    relation = H**2 - ALPHA * H + (ALPHA**2 - BETA) * Fraction(1, 4)
+    relation = power(H, 2) - ALPHA * H + (power(ALPHA, 2) - BETA) * Fraction(1, 4)
     rng = random.Random(77)
     for g in range(2, 6):
         for r in range(3 * g - 3):
@@ -85,7 +85,7 @@ def test_pairing_examples():
             if not d:
                 # h^2 + beta = alpha h + beta - (alpha^2 - beta)/4: f = alpha
                 want = thaddeus_number(g, a + 1, b, c)
-                assert pair_with_monomial(H**2 + BETA, (a, b, c, 0), g) == want
+                assert pair_with_monomial(power(H, 2) + BETA, (a, b, c, 0), g) == want
         for a, b, c, d in _complements(g, 3):
             if not d:
                 # P_2: f = (3 alpha^2 + beta)/24 - beta/6
@@ -159,7 +159,7 @@ def test_pairing_rejects_bad_input(data):
     # a wrong total degree, from the monomial or from a term of the class
     with pytest.raises(ValueError, match="homogeneous"):
         pair_with_monomial(poly, tuple(x + y for x, y in zip(mono, shift)), g)
-    stray = GradedPoly.monomial(data.draw(st.sampled_from(_monomials(weight + 1))))
+    stray = GradedPoly({data.draw(st.sampled_from(_monomials(weight + 1))): 1})
     with pytest.raises(ValueError, match="homogeneous"):
         pair_with_monomial(poly + stray, mono, g)
     negative = list(mono)
@@ -199,13 +199,13 @@ def test_thaddeus_integrality_small():
 
 def test_integrate_over_H():
     # f h + f' pairs as f, read here as the class times h^1
-    assert pair_with_monomial(ALPHA**3, (0, 0, 0, 1), 2) == 4
-    assert pair_with_monomial(BETA**3, (0, 0, 0, 1), 3) == 0
-    assert pair_with_monomial(ALPHA**6 + BETA**3, (0, 0, 0, 1), 3) == 224
+    assert pair_with_monomial(power(ALPHA, 3), (0, 0, 0, 1), 2) == 4
+    assert pair_with_monomial(power(BETA, 3), (0, 0, 0, 1), 3) == 0
+    assert pair_with_monomial(power(ALPHA, 6) + power(BETA, 3), (0, 0, 0, 1), 3) == 224
     # the f' component never contributes
-    assert pair_with_monomial(ALPHA**3 * H + ALPHA**4, (0, 0, 0, 0), 2) == 4
+    assert pair_with_monomial(power(ALPHA, 3) * H + power(ALPHA, 4), (0, 0, 0, 0), 2) == 4
     with pytest.raises(ValueError):
-        pair_with_monomial(ALPHA**2 + BETA, (0, 0, 0, 1), 2)
+        pair_with_monomial(power(ALPHA, 2) + BETA, (0, 0, 0, 1), 2)
 
 
 def test_integrate_linearity():
@@ -308,7 +308,7 @@ def test_lowest_beta_coefficient_identity():
     # beta^i is the lowest nonzero term of the beta specialization
     for k in range(1, 9):
         f = h_coefficient_by_reduction(pk_full(k).polynomial)
-        coeffs = pk_beta(k).polynomial.beta_coefficients()
+        coeffs = pk_beta(k).polynomial.coeffs_in("beta")
         i, n_coeff = next((j, c) for j, c in enumerate(coeffs) if c != 0)
         ell = k * (k + 1) // 2 - 2 * i
-        assert f.coefficient_of((0, ell - 1, i, 0)) == Fraction(ell, 2 ** (ell - 1)) * n_coeff
+        assert f.coeffs.get((0, ell - 1, i, 0), 0) == Fraction(ell, 2 ** (ell - 1)) * n_coeff

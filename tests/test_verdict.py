@@ -1,6 +1,7 @@
 """Decision engine, exception rows, level filtering, store, and tables."""
 
 import dataclasses
+import hashlib
 import json
 import multiprocessing
 import tempfile
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckebn.certificates import Certificate
+from heckebn.certificates import Certificate, canonical_json_bytes
 from heckebn.giambelli import pk_beta
 from heckebn.modular import certify_mod
 from heckebn.store import Store
@@ -198,6 +199,20 @@ def test_store_rejects_corruption(tmp_path):
     obj["witness_residue"] = "1"
     blob.write_text(json.dumps(obj))
     assert store.get_certificate("modular", 11, cert.g0) is None
+
+
+@pytest.mark.parametrize("bad", [5, None, [1]], ids=["int", "null", "list"])
+def test_store_rejects_non_string_coefficient(tmp_path, bad):
+    # a blob whose sha256 checks out, written by hand, with one coefficient
+    # that is not a "num/den" string
+    store = Store(tmp_path)
+    obj = pk_beta(4).to_json_obj()
+    obj["poly"][0]["c"] = bad
+    data = canonical_json_bytes(obj)
+    digest = hashlib.sha256(data).hexdigest()
+    store.path_for(digest).write_bytes(data)
+    (store.root / "refs" / "pk@beta@4").write_text(digest)
+    assert store.get_pk_record(4, "beta") is None
 
 
 def test_store_rejects_corrupt_ref(tmp_path):
