@@ -10,9 +10,9 @@ The rules of the modular certificates (arXiv 1311.5007, Thm 6.1) live here
 and nowhere else: admissible_prime decides where the theorem applies (an odd
 prime g0 > 2k with expected dimension e = 3g0 - 3 - k(k+1)/2 >= 0),
 _criterion_indices gives the M_j each criterion sums, and sweep_criteria
-builds the first certificate a run of M_j residues supports.  verify()
-checks a certificate against the same rules; verify(deep=True) recomputes
-the underlying determinant or pairing from scratch.
+builds the first certificate that the M_j residues at one prime support.
+verify() checks a certificate against the same rules; verify(deep=True)
+recomputes the underlying determinant or pairing from scratch.
 """
 
 from __future__ import annotations
@@ -47,6 +47,15 @@ def content_hash(obj) -> str:
     return hashlib.sha256(canonical_json_bytes(obj)).hexdigest()
 
 
+def _parse_int(text: str) -> int:
+    """Inverse of str(int): anything else raises ValueError or TypeError, so a
+    stored record is read only in the form it was written."""
+    value = int(text)
+    if str(value) != text:
+        raise ValueError(f"not a decimal integer as str(int) writes it: {text!r}")
+    return value
+
+
 def expected_dimension(g0: int, k: int) -> int:
     """Expected dimension e = 3g0 - 3 - k(k+1)/2 of B(2, K, k) at genus g0."""
     return 3 * g0 - 3 - k * (k + 1) // 2
@@ -76,26 +85,32 @@ def _criterion_indices(g0: int, e: int, criterion: str, ell: int) -> list[int] |
     return None
 
 
-def sweep_criteria(run) -> Certificate | None:
-    """First certificate of (e6.1, 0), (e6.2, 1), ..., (e6.2, e/2) at one run.
+def _residues(m, idx) -> tuple[int, ...]:
+    """The M_j at the indices idx; an index past the end of m reads as 0."""
+    return tuple(m[i] if i < len(m) else 0 for i in idx)
 
-    `run` carries k, g, unit, e and m_at(j), the residue M_j mod g (a
-    modular.ModularRun).  Returns None when every residue sum is 0: that is
-    inconclusive, never a proof of vanishing.
+
+def sweep_criteria(k: int, g0: int, m) -> Certificate | None:
+    """First certificate of (e6.1, 0), (e6.2, 1), ..., (e6.2, e/2) at one prime.
+
+    m holds the residues M_0, M_1, ... mod g0 (modular.mj_mod).  Returns None
+    when every residue sum is 0: that is inconclusive, never a proof of
+    vanishing.
     """
-    sweep = [("e6.1", 0), *(("e6.2", ell) for ell in range(1, run.e // 2 + 1))]
+    e = expected_dimension(g0, k)
+    sweep = [("e6.1", 0), *(("e6.2", ell) for ell in range(1, e // 2 + 1))]
     for criterion, ell in sweep:
-        idx = _criterion_indices(run.g, run.e, criterion, ell)
-        values = tuple(run.m_at(i) for i in idx)
-        residue = sum(values) % run.g
+        idx = _criterion_indices(g0, e, criterion, ell)
+        values = _residues(m, idx)
+        residue = sum(values) % g0
         if residue:
             return Certificate(
                 kind="modular",
-                k=run.k,
-                g0=run.g,
+                k=k,
+                g0=g0,
                 criterion=criterion,
                 ell=ell,
-                unit=run.unit,
+                unit=g0 - 1,  # (g0-1)! 2^(g0-1) mod g0, by Wilson and Fermat
                 witness_residue=residue,
                 m_indices=tuple(idx),
                 m_values=values,
@@ -160,13 +175,10 @@ class Certificate:
         expected_idx = _criterion_indices(
             g0, expected_dimension(g0, self.k), self.criterion, self.ell
         )
-        if expected_idx is None or list(self.m_indices) != expected_idx:
+        if (expected_idx is None or list(self.m_indices) != expected_idx
+                or len(self.m_values) != len(expected_idx)):
             return False
-        if len(self.m_values) != len(expected_idx):
-            return False
-        if self.witness_residue != sum(self.m_values) % g0:
-            return False
-        if self.witness_residue == 0:
+        if self.witness_residue == 0 or self.witness_residue != sum(self.m_values) % g0:
             return False
         if deep:
             from .modular import mj_mod
@@ -174,10 +186,8 @@ class Certificate:
             # the scaling unit (g0-1)! 2^(g0-1) is -1 mod g0 (Wilson, Fermat)
             if self.unit is not None and self.unit != g0 - 1:
                 return False
-            run = mj_mod(self.k, g0)
-            for idx, val in zip(self.m_indices, self.m_values):
-                if run.m_at(idx) != val:
-                    return False
+            if _residues(mj_mod(self.k, g0), self.m_indices) != tuple(self.m_values):
+                return False
         return True
 
     def _verify_rational(self, deep: bool) -> bool:
@@ -241,23 +251,23 @@ class Certificate:
         if kind == "modular":
             return cls(
                 kind="modular",
-                k=int(obj["k"]),
-                g0=int(obj["g0"]),
+                k=_parse_int(obj["k"]),
+                g0=_parse_int(obj["g0"]),
                 criterion=obj["criterion"],
-                ell=int(obj["ell"]),
-                unit=int(obj["unit"]),
-                witness_residue=int(obj["witness_residue"]),
-                m_indices=tuple(int(i) for i in obj["M_indices_used"]),
-                m_values=tuple(int(v) for v in obj["M_values_used"]),
+                ell=_parse_int(obj["ell"]),
+                unit=_parse_int(obj["unit"]),
+                witness_residue=_parse_int(obj["witness_residue"]),
+                m_indices=tuple(map(_parse_int, obj["M_indices_used"])),
+                m_values=tuple(map(_parse_int, obj["M_values_used"])),
                 generated_by=obj["generated_by"],
             )
         if kind == "rational":
             return cls(
                 kind="rational",
-                k=int(obj["k"]),
-                g0=int(obj["g0"]),
+                k=_parse_int(obj["k"]),
+                g0=_parse_int(obj["g0"]),
                 criterion=obj["criterion"],
-                monomial=tuple(int(e) for e in obj["monomial"]),
+                monomial=tuple(map(_parse_int, obj["monomial"])),
                 witness_value=parse_rational(obj["witness_value"]),
                 generated_by=obj["generated_by"],
             )

@@ -74,8 +74,10 @@ class PkRecord:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> PkRecord:
+        if type(obj["k"]) is not int:
+            raise TypeError(f"k must be an int, not {obj['k']!r}")
         return cls(
-            k=int(obj["k"]),
+            k=obj["k"],
             variant=obj["variant"],
             polynomial=GradedPoly.from_json_obj(obj["poly"]),
             algorithm=obj["algorithm"],

@@ -22,9 +22,7 @@ rescale cannot change the vanishing of any M_j sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .certificates import Certificate, admissible_prime, expected_dimension, sweep_criteria
+from .certificates import Certificate, admissible_prime, sweep_criteria
 from .chern import tilde_mod_coeffs
 from .errors import InapplicablePrimeError
 from .giambelli import giambelli_rows
@@ -35,7 +33,6 @@ __all__ = [
     "find_gk",
     "find_gpk",
     "valid_primes_above",
-    "ModularRun",
     "mj_mod",
     "certify_mod",
     "theorem43_gate",
@@ -72,24 +69,11 @@ def valid_primes_above(k: int, count: int = 2) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class ModularRun:
-    """M_j residues of the scaled class at one prime."""
+def mj_mod(k: int, g: int) -> tuple[int, ...]:
+    """Residues (M_0, M_1, ...) mod g via the Giambelli determinant over F_g[beta].
 
-    k: int
-    g: int
-    unit: int
-    m: tuple[int, ...]
-    e: int
-
-    def m_at(self, j: int) -> int:
-        if j < 0 or j >= len(self.m):
-            return 0
-        return self.m[j]
-
-
-def mj_mod(k: int, g: int) -> ModularRun:
-    """Residues M_j mod g via the Giambelli determinant over F_g[beta]."""
+    The tuple ends at the last nonzero M_j, or is (0,) when all vanish.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     if not is_prime(g) or g == 2:
@@ -101,14 +85,12 @@ def mj_mod(k: int, g: int) -> ModularRun:
         )
     u = g - 1  # (g-1)! 2^(g-1) mod g
     hat = [[c * u % g for c in row] for row in tilde_mod_coeffs(2 * k - 1, g)]
-    coeffs = det_mod_univariate(giambelli_rows(k, hat, [0]), g)
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    if len(coeffs) - 1 > k * k // 4:
+    m = det_mod_univariate(giambelli_rows(k, hat, [0]), g)
+    if len(m) - 1 > k * k // 4:
         raise AssertionError(
             f"M_j nonzero beyond the floor(k^2/4) degree bound at k={k}, g={g}"
         )
-    return ModularRun(k=k, g=g, unit=u, m=tuple(coeffs), e=expected_dimension(g, k))
+    return tuple(m)
 
 
 def certify_mod(k: int, g: int | None = None) -> Certificate | None:
@@ -127,13 +109,9 @@ def certify_mod(k: int, g: int | None = None) -> Certificate | None:
             k, g, f"Theorem 6.1 needs g > 2k = {2 * k} and 3g - 3 >= "
             f"k(k+1)/2 = {k * (k + 1) // 2}"
         )
-    return sweep_criteria(mj_mod(k, g))
+    return sweep_criteria(k, g, mj_mod(k, g))
 
 
 def theorem43_gate(g: int, k: int) -> bool:
     """Non-vanishing holds when g is an odd prime with g-1 >= max(k(k-1)/4, 2k-1)."""
-    if k < 1:
-        return False
-    if not is_prime(g) or g == 2:
-        return False
-    return 4 * (g - 1) >= k * (k - 1) and g >= 2 * k
+    return k >= 1 and g >= 2 * k and 4 * (g - 1) >= k * (k - 1) and g != 2 and is_prime(g)

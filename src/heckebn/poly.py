@@ -70,9 +70,9 @@ class GradedPoly:
         clean: dict[Monomial, Fraction] = {}
         if coeffs:
             for mono, c in coeffs.items():
-                mono = tuple(int(e) for e in mono)  # type: ignore[assignment]
-                if len(mono) != 4 or any(e < 0 for e in mono):
-                    raise ValueError(f"bad exponent tuple {mono}")
+                mono = tuple(mono)  # type: ignore[assignment]
+                if len(mono) != 4 or not all(type(e) is int and e >= 0 for e in mono):
+                    raise ValueError(f"bad exponent tuple {mono!r}")
                 v = Fraction(c)
                 if v:
                     clean[mono] = clean.get(mono, _ZERO) + v

@@ -50,6 +50,8 @@ CSV_HEADER = [
     "g", "k", "beta", "class_status", "locus_status",
     "assumption", "witness_rule", "certificate_ref",
 ]
+_JSON_FIELDS = (*CSV_HEADER, "twisted_lower", "twisted_upper")
+_LEVEL_NAMES = tuple(LEVELS)
 
 
 def beta_rank2(g: int, k: int) -> int:
@@ -59,20 +61,20 @@ def beta_rank2(g: int, k: int) -> int:
     return expected_dimension(g, k)
 
 
-# (g, k) -> (class_status, class_level, locus_status, locus_level)
-# g = 2 is outside every theorem gate; (3,4) and (4,4) are the documented
-# failures of the general transfer rule.
+# (g, k) -> (class_status, locus_status, locus_level); class facts hold on
+# any curve.  g = 2 is outside every theorem gate; (3,4) and (4,4) are the
+# documented failures of the general transfer rule.
 _EXCEPTIONS = {
-    (2, 1): ("NONZERO", ANY_CURVE, "NONEMPTY", ANY_CURVE),
-    (2, 2): ("NONZERO", ANY_CURVE, "EMPTY", ANY_CURVE),
-    (3, 4): ("ZERO", ANY_CURVE, "EMPTY", GENERAL),
-    (4, 4): ("NONZERO", ANY_CURVE, "EMPTY", PETRI),
+    (2, 1): ("NONZERO", "NONEMPTY", ANY_CURVE),
+    (2, 2): ("NONZERO", "EMPTY", ANY_CURVE),
+    (3, 4): ("ZERO", "EMPTY", GENERAL),
+    (4, 4): ("NONZERO", "EMPTY", PETRI),
 }
 
 
 def _exception_row(g: int, k: int):
     if g == 2 and k >= 3:
-        return ("ZERO", ANY_CURVE, "EMPTY", ANY_CURVE)
+        return ("ZERO", "EMPTY", ANY_CURVE)
     return _EXCEPTIONS.get((g, k))
 
 
@@ -96,18 +98,7 @@ class Verdict:
         return self.certificate.hash() if self.certificate is not None else ""
 
     def to_json_obj(self) -> dict:
-        return {
-            "g": self.g,
-            "k": self.k,
-            "beta": self.beta,
-            "class_status": self.class_status,
-            "locus_status": self.locus_status,
-            "assumption": self.assumption,
-            "witness_rule": self.witness_rule,
-            "certificate_ref": self.certificate_ref,
-            "twisted_lower": self.twisted_lower,
-            "twisted_upper": self.twisted_upper,
-        }
+        return {name: getattr(self, name) for name in _JSON_FIELDS}
 
 
 def _candidate_primes(g: int, k: int) -> list[int]:
@@ -138,9 +129,7 @@ def _class_certificate(g: int, k: int, store) -> Certificate | None:
     for every g >= g0 and the witness records the monotone step.
     """
     for p in _candidate_primes(g, k):
-        cert = None
-        if store is not None:
-            cert = store.get_certificate("modular", k, p)
+        cert = store.get_certificate("modular", k, p) if store is not None else None
         if cert is None:
             cert = certify_mod(k, p)
             if cert is not None and store is not None:
@@ -172,84 +161,63 @@ def decide(
 ) -> Verdict:
     """Deterministic verdict for one (g, k) at the requested curve level.
 
-    Precedence: exception rows, then class certificates and gates, then the
-    locus rules in order of weakest sufficient hypothesis.  rational_budget
-    enables the exact-pairing fallback for the class when no modular
-    certificate or gate applies (off by default: it recomputes P_k over the
-    rationals, which is far slower than one prime-field determinant).  Above
-    PK_FULL_DEFAULT_LIMIT the fallback is skipped and the class stays UNKNOWN.
+    Precedence: the exception rows; else the class from a certificate, then
+    a theorem gate, then the exact pairing, and the first locus rule whose
+    condition holds, kept only where the requested level is at least the
+    rule's.  rational_budget enables the exact-pairing fallback for the class
+    when no modular certificate or gate applies (off by default: it
+    recomputes P_k over the rationals, which is far slower than one
+    prime-field determinant).  Above PK_FULL_DEFAULT_LIMIT the fallback is
+    skipped and the class stays UNKNOWN.
     """
     if assumption not in LEVELS:
         raise ValueError(f"unknown assumption level: {assumption!r}")
     req = LEVELS[assumption]
     beta = beta_rank2(g, k)
 
-    class_status = "UNKNOWN"
-    locus_status = "UNKNOWN"
-    class_rule = "none"
-    locus_rule = "none"
     cert: Certificate | None = None
-    used_levels: list[int] = []
-
     row = _exception_row(g, k)
     if row is not None:
-        cstat, clevel, lstat, llevel = row
-        if LEVELS[clevel] <= req:
-            class_status, class_rule = cstat, "exception"
-            used_levels.append(LEVELS[clevel])
-        if LEVELS[llevel] <= req:
-            locus_status, locus_rule = lstat, "exception"
-            used_levels.append(LEVELS[llevel])
+        class_status, locus_status, locus_level = row
+        class_rule = locus_rule = "exception"
     else:
         cert = _class_certificate(g, k, store)
+        gate = _class_gate(g, k) if cert is None else None
+        if (cert is None and gate is None and rational_budget > 0 and beta >= 0
+                and k <= PK_FULL_DEFAULT_LIMIT):
+            witness = rational_certificate(g, k, budget=rational_budget, store=store)
+            if witness is not None:
+                cert = witness.certificate
+                if store is not None:
+                    store.put_certificate(cert)
         if cert is not None:
-            class_status = "NONZERO"
-            class_rule = _certificate_witness(cert, g)
-            used_levels.append(LEVELS[ANY_CURVE])
+            class_status, class_rule = "NONZERO", _certificate_witness(cert, g)
+        elif gate is not None:
+            class_status, class_rule = "NONZERO", gate
         else:
-            gate = _class_gate(g, k)
-            if gate is not None:
-                class_status = "NONZERO"
-                class_rule = gate
-                used_levels.append(LEVELS[ANY_CURVE])
-            elif rational_budget > 0 and beta >= 0 and k <= PK_FULL_DEFAULT_LIMIT:
-                witness = rational_certificate(
-                    g, k, budget=rational_budget, store=store
-                )
-                if witness is not None:
-                    cert = witness.certificate
-                    if store is not None:
-                        store.put_certificate(cert)
-                    class_status = "NONZERO"
-                    class_rule = _certificate_witness(cert, g)
-                    used_levels.append(LEVELS[ANY_CURVE])
+            class_status, class_rule = "UNKNOWN", "none"
 
         if beta < 0:
-            if req >= LEVELS[GENERAL]:
-                locus_status, locus_rule = "EMPTY", "negative-expected-dim"
-                used_levels.append(LEVELS[GENERAL])
+            locus_status, locus_rule, locus_level = "EMPTY", "negative-expected-dim", GENERAL
         elif g >= k * (k + 1) // 2 + 2:
-            locus_status, locus_rule = "NONEMPTY", "expected-dim-gate"
-            used_levels.append(LEVELS[ANY_CURVE])
-        elif (
-            class_status == "NONZERO"
-            and g >= 3
-            and (g, k) != (4, 4)
-            and req >= LEVELS[PETRI]
-        ):
-            locus_status, locus_rule = "NONEMPTY", "petri-transfer"
-            used_levels.append(LEVELS[PETRI])
-        elif k <= 7 and g >= 3 and req >= LEVELS[GENERAL]:
-            locus_status, locus_rule = "NONEMPTY", "small-k-gate"
-            used_levels.append(LEVELS[GENERAL])
-        elif 4 * g >= k * k and req >= LEVELS[GENERAL]:
-            locus_status, locus_rule = "NONEMPTY", "teixidor-bound"
-            used_levels.append(LEVELS[GENERAL])
+            locus_status, locus_rule, locus_level = "NONEMPTY", "expected-dim-gate", ANY_CURVE
+        elif class_status == "NONZERO":
+            locus_status, locus_rule, locus_level = "NONEMPTY", "petri-transfer", PETRI
+        elif k <= 7:
+            locus_status, locus_rule, locus_level = "NONEMPTY", "small-k-gate", GENERAL
+        elif 4 * g >= k * k:
+            locus_status, locus_rule, locus_level = "NONEMPTY", "teixidor-bound", GENERAL
+        else:
+            locus_status, locus_rule, locus_level = "UNKNOWN", "none", None
 
-    if used_levels:
-        level = [ANY_CURVE, PETRI, GENERAL][max(used_levels)]
-    else:
-        level = assumption
+    # the weakest level that justifies every fact kept: class facts hold on
+    # any curve, a locus rule only at its own level or above
+    level = -1 if class_status == "UNKNOWN" else LEVELS[ANY_CURVE]
+    if locus_level is not None:
+        if LEVELS[locus_level] <= req:
+            level = max(level, LEVELS[locus_level])
+        else:
+            locus_status, locus_rule = "UNKNOWN", "none"
 
     lower, upper = twisted_bounds(
         g, k, class_nonzero=class_status == "NONZERO", level=assumption
@@ -260,7 +228,7 @@ def decide(
         beta=beta,
         class_status=class_status,
         locus_status=locus_status,
-        assumption=level,
+        assumption=_LEVEL_NAMES[level] if level >= 0 else assumption,
         witness_rule=f"class={class_rule};locus={locus_rule}",
         certificate=cert,
         twisted_lower=lower,
@@ -304,6 +272,8 @@ def emit_table(
     rational_budget: int = 0,
 ) -> str:
     """Verdict table over a (g, k) grid, ordered by (k, g)."""
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown format: {fmt!r}")
     if isinstance(g_range, str):
         g_range = _parse_range(g_range)
     if isinstance(k_range, str):
@@ -315,14 +285,8 @@ def emit_table(
     ]
     if fmt == "json":
         return json.dumps([r.to_json_obj() for r in rows], indent=2) + "\n"
-    if fmt != "csv":
-        raise ValueError(f"unknown format: {fmt!r}")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for r in rows:
-        writer.writerow([
-            r.g, r.k, r.beta, r.class_status, r.locus_status,
-            r.assumption, r.witness_rule, r.certificate_ref,
-        ])
+    writer.writerows([getattr(r, name) for name in CSV_HEADER] for r in rows)
     return buf.getvalue()

@@ -127,15 +127,14 @@ def test_criterion_07_dual_path_modular_oracle():
     for k in range(1, 13):
         coeffs = pk_beta(k).polynomial.coeffs_in("beta")
         for g in valid_primes_above(k, 2):
-            run = mj_mod(k, g)
-            uk = pow(run.unit, k, g)
+            uk = pow(g - 1, k, g)  # u = (g-1)! 2^(g-1) = -1 mod g
             expected = [
                 c.numerator * uk * pow(c.denominator % g, g - 2, g) % g
                 for c in coeffs
             ]
             while len(expected) > 1 and expected[-1] == 0:
                 expected.pop()
-            if list(run.m) != expected:
+            if list(mj_mod(k, g)) != expected:
                 bad.append((k, g))
     _report(7, "native prime-field M_j equals scaled rational reduction "
             "for k <= 12, two primes each", not bad, str(bad))

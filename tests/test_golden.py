@@ -1,4 +1,4 @@
-"""Golden outputs: verdict table, Theorem 6.1 certificates, M_j residues,
+"""Golden outputs: verdict tables, Theorem 6.1 certificates, M_j residues,
 P_k(1, beta, 0), the trivariate P_k(h, beta, gamma), rational certificates and pairings.
 
 The digests are fixed: a change to any class polynomial, residue or verdict
@@ -51,6 +51,32 @@ def test_verdict_table_digest(tmp_path):
     assert got == VERDICT_DIGESTS
 
 
+# the same tables as JSON, which adds the twisted bounds to every row
+VERDICT_JSON_DIGESTS = {
+    "general": "9e8da773f945683cf54d63b0aff4ed9e327f2d2bcc5c5a2df4ff25f7afe3f5f2",
+    "petri": "50c064e9a160739f28f98ba2fbfac4136d4e395cf56543fc25d6d7c446723f65",
+    "any_curve": "ccb2c1fd326a91ede3c7eba5958b4799a1327047586df5a8536fbd957c51b4db",
+}
+
+
+def test_verdict_json_digest(tmp_path):
+    store = Store(tmp_path)
+    got = {
+        level: sha256(emit_table("2..40", "1..14", assumption=level, fmt="json",
+                                 store=store))
+        for level in VERDICT_JSON_DIGESTS
+    }
+    assert got == VERDICT_JSON_DIGESTS
+
+
+def test_verdict_table_rational_budget_digest():
+    # the exact-pairing fallback decides the class where no modular
+    # certificate or gate does: 40 rows differ from the default table,
+    # among them (3, 2) and (28, 12)
+    got = sha256(emit_table("2..40", "1..12", rational_budget=16))
+    assert got == "6472700d4f42404da42ec407e79357c2cef69a5aabe85280167593b443e64160"
+
+
 THM61_HASHES = {
     10: "cfd698eb9a369aefc4ce5f8d594bbd6c22552fb40b75b00f9dedc85f90de202a",
     11: "31b0997dc49028533d6649742e1f010e6d555f962eb9b8344b56827ddf33614d",
@@ -85,7 +111,7 @@ def _mj_primes(k: int) -> list[int]:
     return out
 
 
-# sha256 of json.dumps([[g, list(mj_mod(k, g).m)] for g in _mj_primes(k)]): every
+# sha256 of json.dumps([[g, list(mj_mod(k, g))] for g in _mj_primes(k)]): every
 # residue M_j, not only the ones a certificate quotes
 MJ_DIGESTS = {
     10: "668d009cf8fa2d20d028be8b973155bfbef64b998bc4caabfe95c0f6cf81873b",
@@ -114,7 +140,7 @@ MJ_DIGESTS = {
 
 def test_mj_residue_digests():
     got = {
-        k: sha256(json.dumps([[g, list(mj_mod(k, g).m)] for g in _mj_primes(k)]))
+        k: sha256(json.dumps([[g, list(mj_mod(k, g))] for g in _mj_primes(k)]))
         for k in MJ_DIGESTS
     }
     assert got == MJ_DIGESTS

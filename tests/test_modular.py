@@ -5,12 +5,16 @@ import json
 
 import pytest
 
-from heckebn.certificates import Certificate, admissible_prime, sweep_criteria
+from heckebn.certificates import (
+    Certificate,
+    admissible_prime,
+    expected_dimension,
+    sweep_criteria,
+)
 from heckebn.errors import InapplicablePrimeError
 from heckebn.giambelli import pk_beta
 from heckebn.numbers import factorial_mod, next_prime
 from heckebn.modular import (
-    ModularRun,
     certify_mod,
     find_gk,
     find_gpk,
@@ -45,14 +49,8 @@ def test_valid_primes_above():
 
 
 def test_mj_mod_small_frozen():
-    run = mj_mod(3, 11)
-    assert run.m == (4, 2, 5)
-    assert run.unit == 10
-    assert run.e == 24
-    assert run.m_at(2) == 5
-    assert run.m_at(3) == 0
-    assert run.m_at(-1) == 0
-    assert mj_mod(1, 5).m == (4,)
+    assert mj_mod(3, 11) == (4, 2, 5)
+    assert mj_mod(1, 5) == (4,)
 
 
 def test_mj_mod_rejects_small_or_composite_primes():
@@ -73,9 +71,7 @@ def test_mj_matches_rational_reduction():
         pk = pk_beta(k)
         coeffs = pk.polynomial.coeffs_in("beta")
         for g in valid_primes_above(k, 2):
-            run = mj_mod(k, g)
-            u = run.unit
-            uk = pow(u, k, g)
+            uk = pow(g - 1, k, g)  # u = (g-1)! 2^(g-1) = -1 mod g
             expected = []
             for c in coeffs:
                 num = c.numerator * uk % g
@@ -83,7 +79,7 @@ def test_mj_matches_rational_reduction():
                 expected.append(num * den % g)
             while len(expected) > 1 and expected[-1] == 0:
                 expected.pop()
-            assert list(run.m) == expected, (k, g)
+            assert list(mj_mod(k, g)) == expected, (k, g)
 
 
 def test_mj_unit_is_minus_one():
@@ -93,43 +89,46 @@ def test_mj_unit_is_minus_one():
         assert factorial_mod(g - 1, g) * pow(2, g - 1, g) % g == g - 1, g
         g = next_prime(g)
     for k, g in [(1, 3), (2, 5), (3, 11), (5, 13), (10, 23)]:
-        assert mj_mod(k, g).unit == g - 1
+        assert certify_mod(k, g).unit == g - 1
 
 
 def test_mj_degree_bound():
     for k, g in [(4, 11), (6, 17), (9, 23)]:
-        run = mj_mod(k, g)
-        assert len(run.m) - 1 <= k * k // 4
+        assert len(mj_mod(k, g)) - 1 <= k * k // 4
 
 
 def test_criterion_e61():
-    cert = sweep_criteria(mj_mod(3, 11))
+    cert = sweep_criteria(3, 11, mj_mod(3, 11))
     assert (cert.criterion, cert.ell, cert.witness_residue) == ("e6.1", 0, 4)
     # indices 5 and 10 exceed the beta-degree, so only M_0 contributes
     assert (cert.m_indices, cert.m_values) == ((0, 5, 10), (4, 0, 0))
     assert cert.verify(deep=True)
 
 
-def _e62_claim(run: ModularRun, ell: int) -> Certificate:
-    idx = ((run.g - 1) // 2 - ell, run.g - 1 - ell)
-    values = tuple(run.m_at(i) for i in idx)
+def _m_at(m: tuple[int, ...], j: int) -> int:
+    return m[j] if 0 <= j < len(m) else 0
+
+
+def _e62_claim(k: int, g: int, ell: int) -> Certificate:
+    m = mj_mod(k, g)
+    idx = ((g - 1) // 2 - ell, g - 1 - ell)
+    values = tuple(_m_at(m, i) for i in idx)
     return Certificate(
-        kind="modular", k=run.k, g0=run.g, criterion="e6.2", ell=ell, unit=run.unit,
-        witness_residue=sum(values) % run.g, m_indices=idx, m_values=values,
+        kind="modular", k=k, g0=g, criterion="e6.2", ell=ell, unit=g - 1,
+        witness_residue=sum(values) % g, m_indices=idx, m_values=values,
     )
 
 
 def test_criterion_e62():
-    run = mj_mod(3, 11)
     # l = 1 sums M_4 + M_9 = 0, which certifies nothing
-    assert _e62_claim(run, 1).witness_residue == 0
-    assert not _e62_claim(run, 1).verify()
+    assert _e62_claim(3, 11, 1).witness_residue == 0
+    assert not _e62_claim(3, 11, 1).verify()
     # l = 3 reaches M_2 = 5 at index (g-1)/2 - 3 = 2
-    assert _e62_claim(run, 3).witness_residue == 5
-    assert _e62_claim(run, 3).verify(deep=True)
+    assert _e62_claim(3, 11, 3).witness_residue == 5
+    assert _e62_claim(3, 11, 3).verify(deep=True)
     # l = 0 and l > e/2 are outside e6.2, whatever the residues
-    for ell in (0, run.e // 2 + 1):
-        bad = dataclasses.replace(_e62_claim(run, 3), ell=ell)
+    for ell in (0, expected_dimension(11, 3) // 2 + 1):
+        bad = dataclasses.replace(_e62_claim(3, 11, 3), ell=ell)
         assert not bad.verify()
 
 
@@ -137,16 +136,15 @@ def test_sweep_synthetic_runs():
     # no real (k, g) with k <= 14, g < 140 needs e6.2 beyond l = 1, so the
     # sweep order is checked on runs built by hand: e6.1 sums to 0, e6.2 sums
     # to 0 at l = 1, 2 and first reaches M_2 at l = 3
-    run = ModularRun(k=3, g=11, unit=10, m=(0, 2, 5), e=24)
-    cert = sweep_criteria(run)
+    cert = sweep_criteria(3, 11, (0, 2, 5))
     assert (cert.criterion, cert.ell, cert.witness_residue) == ("e6.2", 3, 5)
     assert (cert.m_indices, cert.m_values) == ((2, 7), (5, 0))
     assert cert.verify()
     # M_2 = 5 is also the true residue at (3, 11)
     assert cert.verify(deep=True)
     # every sum is 0: inconclusive
-    assert sweep_criteria(ModularRun(k=3, g=11, unit=10, m=(0, 0, 0), e=24)) is None
-    assert sweep_criteria(ModularRun(k=3, g=11, unit=10, m=(0,), e=24)) is None
+    assert sweep_criteria(3, 11, (0, 0, 0)) is None
+    assert sweep_criteria(3, 11, (0,)) is None
 
 
 def test_certify_mod_prime_sweep():
@@ -170,7 +168,7 @@ def test_certify_mod_17_details():
     assert cert.m_indices == (25, 51)
     assert (cert.criterion, cert.ell) == ("e6.2", 1)
     # e6.1 sums to 0 at (17, 53), so the sweep moved on
-    assert sum(mj_mod(17, 53).m_at(i) for i in (0, 26, 52)) % 53 == 0
+    assert sum(_m_at(mj_mod(17, 53), i) for i in (0, 26, 52)) % 53 == 0
     assert cert.verify(deep=True)
 
 
@@ -237,10 +235,10 @@ def test_verify_rejects_ell_beyond_half_dimension():
     # at (k=17, g0=53) e = 3, so e6.2 allows ell = 1 only; ell = 2 reads true
     # residues from the run but the criterion does not apply there
     cert = certify_mod(17)
-    run = mj_mod(17, 53)
-    assert run.e == 3
+    m = mj_mod(17, 53)
+    assert expected_dimension(53, 17) == 3
     idx = (24, 50)
-    values = tuple(run.m_at(i) for i in idx)
+    values = tuple(_m_at(m, i) for i in idx)
     assert sum(values) % 53 != 0
     bad = dataclasses.replace(
         cert, ell=2, m_indices=idx, m_values=values, witness_residue=sum(values) % 53
@@ -269,12 +267,12 @@ def test_verify_rejects_bad_prime_without_raising():
 
 def test_verify_rejects_values_without_indices():
     # e6.1 sums to 0 at (17, 53); an unindexed extra value must not rescue it
-    run = mj_mod(17, 53)
+    m = mj_mod(17, 53)
     idx = (0, 26, 52)
-    values = tuple(run.m_at(i) for i in idx)
+    values = tuple(_m_at(m, i) for i in idx)
     assert sum(values) % 53 == 0
     bad = Certificate(
-        kind="modular", k=17, g0=53, criterion="e6.1", unit=run.unit,
+        kind="modular", k=17, g0=53, criterion="e6.1", unit=52,
         witness_residue=1, m_indices=idx, m_values=values + (1,),
     )
     assert not bad.verify()
@@ -291,9 +289,3 @@ def test_theorem43_gate():
     assert not theorem43_gate(2, 1)
     assert theorem43_gate(3, 1)
 
-
-def test_modular_run_is_frozen():
-    run = mj_mod(2, 7)
-    with pytest.raises(AttributeError):
-        run.m = (0,)
-    assert isinstance(run, ModularRun)

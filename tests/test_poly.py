@@ -97,6 +97,14 @@ def test_json_round_trip():
     assert GradedPoly.from_json_obj(obj) == p
 
 
+@pytest.mark.parametrize("e", [[0, 0, 1.5, 0], [0, 0, "1", 0], [0, 0, True, 0],
+                               [0, 0, -1, 0], [0, 0, 1], "0010"])
+def test_json_rejects_non_int_exponents(e):
+    # an exponent is a nonnegative int, never coerced from a float, str or bool
+    with pytest.raises(ValueError):
+        GradedPoly.from_json_obj([{"e": e, "c": "1"}])
+
+
 def test_exact_div():
     num = (H + BETA) * (power(H, 2) - GAMMA) * 6
     assert exact_div(num, (H + BETA) * 2) == (power(H, 2) - GAMMA) * 3

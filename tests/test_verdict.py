@@ -201,18 +201,60 @@ def test_store_rejects_corruption(tmp_path):
     assert store.get_certificate("modular", 11, cert.g0) is None
 
 
-@pytest.mark.parametrize("bad", [5, None, [1]], ids=["int", "null", "list"])
-def test_store_rejects_non_string_coefficient(tmp_path, bad):
-    # a blob whose sha256 checks out, written by hand, with one coefficient
-    # that is not a "num/den" string
-    store = Store(tmp_path)
-    obj = pk_beta(4).to_json_obj()
-    obj["poly"][0]["c"] = bad
+def _put_by_hand(store: Store, ref: str, obj) -> None:
+    """Write obj as a blob whose sha256 checks out, and the ref naming it."""
     data = canonical_json_bytes(obj)
     digest = hashlib.sha256(data).hexdigest()
     store.path_for(digest).write_bytes(data)
-    (store.root / "refs" / "pk@beta@4").write_text(digest)
+    (store.root / "refs" / ref).write_text(digest)
+
+
+@pytest.mark.parametrize("bad", [5, None, [1]], ids=["int", "null", "list"])
+def test_store_rejects_non_string_coefficient(tmp_path, bad):
+    # one coefficient that is not a "num/den" string
+    store = Store(tmp_path)
+    obj = pk_beta(4).to_json_obj()
+    obj["poly"][0]["c"] = bad
+    _put_by_hand(store, "pk@beta@4", obj)
     assert store.get_pk_record(4, "beta") is None
+
+
+@pytest.mark.parametrize("bad", [[0, 0, 1.5, 0], [0, 0, "1", 0], [0, 0, True, 0]],
+                         ids=["float", "str", "bool"])
+def test_store_rejects_non_int_exponent(tmp_path, bad):
+    # each of these once read as beta^1
+    store = Store(tmp_path)
+    obj = pk_beta(4).to_json_obj()
+    obj["poly"][0]["e"] = bad
+    _put_by_hand(store, "pk@beta@4", obj)
+    assert store.get_pk_record(4, "beta") is None
+
+
+@pytest.mark.parametrize("bad", [3.7, 3.0, "3"], ids=["float", "whole-float", "str"])
+def test_store_rejects_non_int_record_k(tmp_path, bad):
+    # each of these once read as k = 3
+    store = Store(tmp_path)
+    obj = pk_beta(3).to_json_obj()
+    obj["k"] = bad
+    _put_by_hand(store, "pk@beta@3", obj)
+    assert store.get_pk_record(3, "beta") is None
+
+
+@pytest.mark.parametrize(
+    "key, bad",
+    [("k", 10.0), ("k", "1_0"), ("k", " 10"), ("k", "+10"), ("k", "010"),
+     ("ell", "-0")],
+    ids=["float", "underscore", "space", "plus", "leading-zero", "minus-zero"],
+)
+def test_store_rejects_non_canonical_certificate_integer(tmp_path, key, bad):
+    # integer fields are decimal strings exactly as str(int) writes them;
+    # each of these once read as the true value (k = 10, ell = 0)
+    store = Store(tmp_path)
+    cert = certify_mod(10)
+    assert cert.ell == 0
+    obj = {**cert.to_json_obj(), key: bad}
+    _put_by_hand(store, f"cert@modular@10@{cert.g0}", obj)
+    assert store.get_certificate("modular", 10, cert.g0) is None
 
 
 def test_store_rejects_corrupt_ref(tmp_path):
@@ -356,6 +398,14 @@ def test_emit_table_json_and_ranges():
     assert rows[0]["locus_status"] == "EMPTY"
     with pytest.raises(ValueError):
         emit_table("3..4", "1..2", fmt="yaml")
+
+
+def test_emit_table_checks_format_before_deciding(monkeypatch):
+    calls = []
+    monkeypatch.setattr("heckebn.verdict.decide", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="unknown format"):
+        emit_table("2..40", "1..14", fmt="xml")
+    assert calls == []
 
 
 def test_emit_table_deterministic(tmp_path):
