@@ -8,11 +8,11 @@ readers in any language can parse them without overflow.
 
 The rules of the modular certificates (arXiv 1311.5007, Thm 6.1) live here
 and nowhere else: admissible_prime decides where the theorem applies (an odd
-prime g0 > 2k with expected dimension e = 3g0 - 3 - k(k+1)/2 >= 0),
-_criterion_indices gives the M_j each criterion sums, and sweep_criteria
-builds the first certificate that the M_j residues at one prime support.
-verify() checks a certificate against the same rules; verify(deep=True)
-recomputes the underlying determinant or pairing from scratch.
+prime g0 > 2k with e = 3g0 - 3 - k(k+1)/2 >= 0), first_admissible_prime is
+the smallest such g0, _criterion_indices gives the M_j each criterion sums,
+and sweep_criteria builds the first certificate that the M_j residues at one
+prime support.  verify() checks a certificate against the same rules;
+verify(deep=True) recomputes the underlying determinant or pairing.
 """
 
 from __future__ import annotations
@@ -23,13 +23,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import tool_stamp
-from .numbers import format_rational, is_prime, parse_rational
+from .numbers import format_rational, is_prime, next_prime, parse_rational
 
 __all__ = [
     "SCHEMA_VERSION",
     "Certificate",
     "expected_dimension",
     "admissible_prime",
+    "first_admissible_prime",
     "sweep_criteria",
     "canonical_json_bytes",
     "content_hash",
@@ -56,6 +57,13 @@ def _parse_int(text: str) -> int:
     return value
 
 
+def _parse_ints(items) -> tuple[int, ...]:
+    """A JSON list of _parse_int strings; a string or any other iterable raises."""
+    if not isinstance(items, list):
+        raise TypeError(f"expected a JSON list, not {type(items).__name__}")
+    return tuple(map(_parse_int, items))
+
+
 def expected_dimension(g0: int, k: int) -> int:
     """Expected dimension e = 3g0 - 3 - k(k+1)/2 of B(2, K, k) at genus g0."""
     return 3 * g0 - 3 - k * (k + 1) // 2
@@ -69,6 +77,11 @@ def admissible_prime(k: int, g0: int) -> bool:
         and expected_dimension(g0, k) >= 0
         and is_prime(g0)
     )
+
+
+def first_admissible_prime(k: int) -> int:
+    """Smallest g0 with admissible_prime(k, g0); e >= 0 is g0 - 1 >= k(k+1)/6."""
+    return next_prime(max(2 * k, -(-k * (k + 1) // 6)))
 
 
 def _criterion_indices(g0: int, e: int, criterion: str, ell: int) -> list[int] | None:
@@ -110,7 +123,6 @@ def sweep_criteria(k: int, g0: int, m) -> Certificate | None:
                 g0=g0,
                 criterion=criterion,
                 ell=ell,
-                unit=g0 - 1,  # (g0-1)! 2^(g0-1) mod g0, by Wilson and Fermat
                 witness_residue=residue,
                 m_indices=tuple(idx),
                 m_values=values,
@@ -127,7 +139,6 @@ class Certificate:
     g0: int
     criterion: str  # "e6.1" | "e6.2" | "pairing"
     ell: int = 0  # used by e6.2; 0 otherwise
-    unit: int | None = None
     witness_residue: int | None = None
     m_indices: tuple[int, ...] = ()
     m_values: tuple[int, ...] = ()
@@ -157,13 +168,13 @@ class Certificate:
         return self._verify_rational(deep)
 
     def _well_typed(self) -> bool:
-        """Whether every integer field holds ints; unit and residue may be None."""
+        """Whether every integer field holds ints; the residue may be None."""
         try:
             ints = [self.k, self.g0, self.ell, *self.m_indices, *self.m_values,
                     *(() if self.monomial is None else self.monomial)]
         except TypeError:
             return False
-        ints += [v for v in (self.unit, self.witness_residue) if v is not None]
+        ints += [] if self.witness_residue is None else [self.witness_residue]
         return all(type(v) is int for v in ints) and isinstance(
             self.witness_value, (type(None), int, Fraction)
         )
@@ -183,9 +194,6 @@ class Certificate:
         if deep:
             from .modular import mj_mod
 
-            # the scaling unit (g0-1)! 2^(g0-1) is -1 mod g0 (Wilson, Fermat)
-            if self.unit is not None and self.unit != g0 - 1:
-                return False
             if _residues(mj_mod(self.k, g0), self.m_indices) != tuple(self.m_values):
                 return False
         return True
@@ -224,7 +232,7 @@ class Certificate:
                 "kind": "modular",
                 "k": str(self.k),
                 "g0": str(self.g0),
-                "unit": str(self.unit),
+                "unit": str(self.g0 - 1),  # (g0-1)! 2^(g0-1) mod g0, by Wilson and Fermat
                 "criterion": self.criterion,
                 "ell": str(self.ell),
                 "witness_residue": str(self.witness_residue),
@@ -249,16 +257,17 @@ class Certificate:
             raise ValueError(f"unsupported certificate version {obj.get('version')!r}")
         kind = obj["kind"]
         if kind == "modular":
+            if obj["unit"] != str(_parse_int(obj["g0"]) - 1):
+                raise ValueError(f"unit {obj['unit']!r} is not g0 - 1")
             return cls(
                 kind="modular",
                 k=_parse_int(obj["k"]),
                 g0=_parse_int(obj["g0"]),
                 criterion=obj["criterion"],
                 ell=_parse_int(obj["ell"]),
-                unit=_parse_int(obj["unit"]),
                 witness_residue=_parse_int(obj["witness_residue"]),
-                m_indices=tuple(map(_parse_int, obj["M_indices_used"])),
-                m_values=tuple(map(_parse_int, obj["M_values_used"])),
+                m_indices=_parse_ints(obj["M_indices_used"]),
+                m_values=_parse_ints(obj["M_values_used"]),
                 generated_by=obj["generated_by"],
             )
         if kind == "rational":
@@ -267,7 +276,7 @@ class Certificate:
                 k=_parse_int(obj["k"]),
                 g0=_parse_int(obj["g0"]),
                 criterion=obj["criterion"],
-                monomial=tuple(map(_parse_int, obj["monomial"])),
+                monomial=_parse_ints(obj["monomial"]),
                 witness_value=parse_rational(obj["witness_value"]),
                 generated_by=obj["generated_by"],
             )

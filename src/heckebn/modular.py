@@ -32,7 +32,6 @@ from .poly import det_mod_univariate
 __all__ = [
     "find_gk",
     "find_gpk",
-    "valid_primes_above",
     "mj_mod",
     "certify_mod",
     "theorem43_gate",
@@ -43,30 +42,14 @@ def find_gk(k: int) -> int:
     """Smallest odd prime g with g - 1 >= k(k-1)/4."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    g = 3
-    while 4 * (g - 1) < k * (k - 1):
-        g = next_prime(g)
-    return g
+    return next_prime(max(-(-k * (k - 1) // 4), 2))
 
 
 def find_gpk(k: int) -> int:
     """Smallest odd prime g with 3g - 3 >= k(k+1)/2."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    g = 3
-    while 6 * (g - 1) < k * (k + 1):
-        g = next_prime(g)
-    return g
-
-
-def valid_primes_above(k: int, count: int = 2) -> list[int]:
-    """First `count` primes g > 2k (all odd, so mj_mod accepts them)."""
-    out = []
-    g = 2 * k
-    while len(out) < count:
-        g = next_prime(g)
-        out.append(g)
-    return out
+    return next_prime(max(-(-k * (k + 1) // 6), 2))
 
 
 def mj_mod(k: int, g: int) -> tuple[int, ...]:

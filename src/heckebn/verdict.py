@@ -23,10 +23,10 @@ import json
 from dataclasses import dataclass, field
 
 from .certificates import Certificate, admissible_prime, expected_dimension
+from .certificates import first_admissible_prime
 from .giambelli import PK_FULL_DEFAULT_LIMIT
 from .hecke import rational_certificate
-from .modular import certify_mod, find_gk, find_gpk, theorem43_gate, valid_primes_above
-from .numbers import is_prime
+from .modular import certify_mod, find_gk, theorem43_gate
 
 __all__ = [
     "ANY_CURVE",
@@ -101,42 +101,36 @@ class Verdict:
         return {name: getattr(self, name) for name in _JSON_FIELDS}
 
 
-def _candidate_primes(g: int, k: int) -> list[int]:
-    cands = [g, find_gpk(k), find_gk(k), *valid_primes_above(k, 2)]
-    seen: list[int] = []
-    for p in cands:
-        if p <= g and admissible_prime(k, p) and p not in seen:
-            seen.append(p)
-    return seen
-
-
 def _certificate_witness(cert: Certificate, g: int) -> str:
-    if cert.kind == "modular":
-        label = cert.criterion
-        if cert.criterion == "e6.2":
-            label += f"(l={cert.ell})"
-    else:
-        label = "pairing"
+    label = cert.criterion  # "e6.1", "e6.2" or, for a rational one, "pairing"
+    if cert.criterion == "e6.2":
+        label += f"(l={cert.ell})"
     tail = "+monotone" if cert.g0 < g else ""
     return f"certificate:{label}@{cert.g0}{tail}"
 
 
+def _certificate_at(k: int, p: int, store) -> Certificate | None:
+    cert = store.get_certificate("modular", k, p) if store is not None else None
+    if cert is None:
+        cert = certify_mod(k, p)
+        if cert is not None and store is not None:
+            store.put_certificate(cert)
+    return cert
+
+
 def _class_certificate(g: int, k: int, store) -> Certificate | None:
-    """Modular certificate at the given genus or a smaller admissible prime.
+    """Modular certificate at g itself, else at the smallest admissible prime.
 
     A certificate at prime g0 <= g proves the class nonzero at g0; the
     relation ideal only grows as the genus drops, so non-vanishing persists
-    for every g >= g0 and the witness records the monotone step.
+    for every g >= g0 and the witness records the monotone step.  No other
+    prime is tried: when both are inconclusive the theorem gates decide.
     """
-    for p in _candidate_primes(g, k):
-        cert = store.get_certificate("modular", k, p) if store is not None else None
-        if cert is None:
-            cert = certify_mod(k, p)
-            if cert is not None and store is not None:
-                store.put_certificate(cert)
-        if cert is not None:
-            return cert
-    return None
+    p0 = first_admissible_prime(k)
+    if p0 > g:
+        return None
+    cert = _certificate_at(k, g, store) if p0 != g and admissible_prime(k, g) else None
+    return cert if cert is not None else _certificate_at(k, p0, store)
 
 
 def _class_gate(g: int, k: int) -> str | None:
@@ -145,8 +139,6 @@ def _class_gate(g: int, k: int) -> str | None:
         return "expected-dim-gate"
     if theorem43_gate(g, k):
         return "prime-gate"
-    if is_prime(g) and g >= 19 and 4 * (g - 1) >= k * (k - 1):
-        return "large-prime-gate"
     if k >= 8 and g >= find_gk(k):
         return "gk-gate"
     return None

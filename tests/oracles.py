@@ -8,7 +8,8 @@ the Hecke correspondence that reduces each h^r by iterating
 h^2 = alpha h - (alpha^2 - beta)/4 against the library's binomial closed
 form for the h-coefficient, von Staudt-Clausen against the Bernoulli table,
 and so on.  The polynomial algebra that only tests need, substitution,
-evaluation and powers of a GradedPoly, lives here too.
+evaluation and powers of a GradedPoly, lives here too, and so do the prime
+walks that the closed-form prime finders replaced.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Sequence
 
 from heckebn.giambelli import closed_form_14, pk_eval
 from heckebn.hecke import thaddeus_number
-from heckebn.numbers import binomial, is_prime
+from heckebn.numbers import binomial, is_prime, next_prime
 from heckebn.poly import ALPHA, BETA, GAMMA, SYMBOLS, WEIGHTS, H, GradedPoly
 
 
@@ -31,6 +32,36 @@ def reduce_mod(coeffs: list, g: int) -> list[int]:
         if c.denominator % g == 0:
             raise ZeroDivisionError(f"denominator of {c} vanishes mod {g}")
         out.append(c.numerator * pow(c.denominator, -1, g) % g)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# primes by walking up from 3
+
+
+def find_gk_by_walk(k: int) -> int:
+    """Smallest odd prime g with 4(g - 1) >= k(k-1), one prime at a time."""
+    g = 3
+    while 4 * (g - 1) < k * (k - 1):
+        g = next_prime(g)
+    return g
+
+
+def find_gpk_by_walk(k: int) -> int:
+    """Smallest odd prime g with 6(g - 1) >= k(k+1), one prime at a time."""
+    g = 3
+    while 6 * (g - 1) < k * (k + 1):
+        g = next_prime(g)
+    return g
+
+
+def valid_primes_above(k: int, count: int = 2) -> list[int]:
+    """First `count` primes g > 2k (all odd, so mj_mod accepts them)."""
+    out = []
+    g = 2 * k
+    while len(out) < count:
+        g = next_prime(g)
+        out.append(g)
     return out
 
 

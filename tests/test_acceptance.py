@@ -20,11 +20,11 @@ from heckebn.giambelli import (
     pk_eval,
 )
 from heckebn.hecke import lemma41_scan, rational_certificate, thaddeus_number
-from heckebn.modular import certify_mod, find_gpk, mj_mod, valid_primes_above
+from heckebn.modular import certify_mod, find_gpk, mj_mod
 from heckebn.poly import GradedPoly
 from heckebn.store import Store
 from heckebn.verdict import decide, emit_table
-from oracles import beta4_closed_form, chern_oracle, substitute
+from oracles import beta4_closed_form, chern_oracle, substitute, valid_primes_above
 
 
 def _report(num: int, label: str, ok: bool, detail: str = ""):

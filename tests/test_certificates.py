@@ -15,10 +15,11 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heckebn.certificates import first_admissible_prime
 from heckebn.chern import chern_full
 from heckebn.giambelli import giambelli_rows, pk_beta
 from heckebn.hecke import rational_certificate
-from heckebn.modular import certify_mod, find_gpk, valid_primes_above
+from heckebn.modular import certify_mod
 from heckebn.numbers import is_prime
 from heckebn.poly import GradedPoly
 from oracles import det_bareiss, pair_by_reduction, reduce_mod
@@ -26,8 +27,7 @@ from oracles import det_bareiss, pair_by_reduction, reduce_mod
 
 @functools.lru_cache(maxsize=None)
 def _valid_certificates() -> tuple:
-    # the first admissible prime: g > 2k and 3g - 3 >= k(k+1)/2
-    modular = [certify_mod(k, max(find_gpk(k), *valid_primes_above(k, 1))) for k in range(1, 9)]
+    modular = [certify_mod(k, first_admissible_prime(k)) for k in range(1, 9)]
     rational = [rational_certificate(g, k).certificate for g, k in ((5, 2), (8, 3))]
     return tuple(modular + rational)
 
@@ -73,7 +73,6 @@ MUTATIONS = {
     "g0": small_ints | ill_typed,
     "criterion": st.sampled_from(["e6.1", "e6.2", "pairing", "", "E6.1"]) | ill_typed,
     "ell": st.integers(-2, 20) | ill_typed,
-    "unit": st.none() | small_ints | ill_typed,
     "witness_residue": st.none() | small_ints | ill_typed,
     "m_indices": int_tuples | ill_typed,
     "m_values": int_tuples | ill_typed,

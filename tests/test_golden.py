@@ -22,11 +22,11 @@ import pytest
 from heckebn.certificates import admissible_prime
 from heckebn.giambelli import pk_beta, pk_eval, pk_full
 from heckebn.hecke import candidate_monomials, pair_with_monomial, rational_certificate
-from heckebn.modular import certify_mod, find_gpk, mj_mod, valid_primes_above
+from heckebn.modular import certify_mod, find_gpk, mj_mod
 from heckebn.numbers import format_rational
 from heckebn.store import Store
 from heckebn.verdict import emit_table
-from oracles import evaluate
+from oracles import evaluate, valid_primes_above
 
 
 def sha256(text: str) -> str:

@@ -9,6 +9,7 @@ from heckebn.certificates import (
     Certificate,
     admissible_prime,
     expected_dimension,
+    first_admissible_prime,
     sweep_criteria,
 )
 from heckebn.errors import InapplicablePrimeError
@@ -20,8 +21,8 @@ from heckebn.modular import (
     find_gpk,
     mj_mod,
     theorem43_gate,
-    valid_primes_above,
 )
+from oracles import find_gk_by_walk, find_gpk_by_walk, valid_primes_above
 
 
 def test_find_gk_values():
@@ -40,6 +41,28 @@ def test_find_gpk_values():
                 21: 79, 22: 89, 23: 97, 24: 101}
     for k, g in expected.items():
         assert find_gpk(k) == g, k
+
+
+def test_prime_finders_match_the_walks():
+    for k in range(1, 401):
+        assert find_gk(k) == find_gk_by_walk(k), k
+        assert find_gpk(k) == find_gpk_by_walk(k), k
+    with pytest.raises(ValueError):
+        find_gpk(0)
+
+
+def test_first_admissible_prime_is_the_smallest():
+    for k in range(1, 201):
+        g = 2
+        while not admissible_prime(k, g):
+            g += 1
+        assert first_admissible_prime(k) == g, k
+    # the larger of find_gpk(k) and the first prime above 2k; the smaller
+    # one is not admissible
+    for k in range(1, 201):
+        lo, hi = sorted((find_gpk(k), valid_primes_above(k, 1)[0]))
+        assert hi == first_admissible_prime(k), k
+        assert lo == hi or not admissible_prime(k, lo), k
 
 
 def test_valid_primes_above():
@@ -89,7 +112,7 @@ def test_mj_unit_is_minus_one():
         assert factorial_mod(g - 1, g) * pow(2, g - 1, g) % g == g - 1, g
         g = next_prime(g)
     for k, g in [(1, 3), (2, 5), (3, 11), (5, 13), (10, 23)]:
-        assert certify_mod(k, g).unit == g - 1
+        assert certify_mod(k, g).to_json_obj()["unit"] == str(g - 1)
 
 
 def test_mj_degree_bound():
@@ -114,7 +137,7 @@ def _e62_claim(k: int, g: int, ell: int) -> Certificate:
     idx = ((g - 1) // 2 - ell, g - 1 - ell)
     values = tuple(_m_at(m, i) for i in idx)
     return Certificate(
-        kind="modular", k=k, g0=g, criterion="e6.2", ell=ell, unit=g - 1,
+        kind="modular", k=k, g0=g, criterion="e6.2", ell=ell,
         witness_residue=sum(values) % g, m_indices=idx, m_values=values,
     )
 
@@ -249,16 +272,16 @@ def test_verify_rejects_ell_beyond_half_dimension():
 
 def test_verify_rejects_bad_prime_without_raising():
     composite = Certificate(
-        kind="modular", k=3, g0=9, criterion="e6.1", unit=1,
-        witness_residue=1, m_indices=(0, 4, 8), m_values=(1, 0, 0),
+        kind="modular", k=3, g0=9, criterion="e6.1", witness_residue=1,
+        m_indices=(0, 4, 8), m_values=(1, 0, 0),
     )
     too_small = Certificate(
-        kind="modular", k=10, g0=7, criterion="e6.1", unit=1,
-        witness_residue=1, m_indices=(0, 3, 6), m_values=(1, 0, 0),
+        kind="modular", k=10, g0=7, criterion="e6.1", witness_residue=1,
+        m_indices=(0, 3, 6), m_values=(1, 0, 0),
     )
     negative_e = Certificate(
-        kind="modular", k=17, g0=47, criterion="e6.1", unit=46,
-        witness_residue=1, m_indices=(0, 23, 46), m_values=(1, 0, 0),
+        kind="modular", k=17, g0=47, criterion="e6.1", witness_residue=1,
+        m_indices=(0, 23, 46), m_values=(1, 0, 0),
     )
     for cert in (composite, too_small, negative_e):
         assert not cert.verify()
@@ -272,8 +295,8 @@ def test_verify_rejects_values_without_indices():
     values = tuple(_m_at(m, i) for i in idx)
     assert sum(values) % 53 == 0
     bad = Certificate(
-        kind="modular", k=17, g0=53, criterion="e6.1", unit=52,
-        witness_residue=1, m_indices=idx, m_values=values + (1,),
+        kind="modular", k=17, g0=53, criterion="e6.1", witness_residue=1,
+        m_indices=idx, m_values=values + (1,),
     )
     assert not bad.verify()
     assert not bad.verify(deep=True)

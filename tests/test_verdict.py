@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from heckebn.certificates import Certificate, canonical_json_bytes
 from heckebn.giambelli import pk_beta
+from heckebn.hecke import rational_certificate
 from heckebn.modular import certify_mod
 from heckebn.store import Store
 from heckebn.verdict import (
@@ -257,6 +258,42 @@ def test_store_rejects_non_canonical_certificate_integer(tmp_path, key, bad):
     assert store.get_certificate("modular", 10, cert.g0) is None
 
 
+@pytest.mark.parametrize("key", ["M_indices_used", "M_values_used"])
+def test_store_rejects_string_for_modular_list(tmp_path, key):
+    # at (k, g0) = (2, 5) every index and value is one digit, so the string
+    # "024" once read as the true indices (0, 2, 4)
+    store = Store(tmp_path)
+    cert = certify_mod(2, 5)
+    obj = cert.to_json_obj()
+    obj[key] = "".join(obj[key])
+    _put_by_hand(store, "cert@modular@2@5", obj)
+    assert store.get_certificate("modular", 2, 5) is None
+
+
+def test_store_rejects_string_for_monomial(tmp_path):
+    # the monomial (1, 0, 0, 9) written as "1009" once read back unchanged
+    store = Store(tmp_path)
+    cert = rational_certificate(5, 2).certificate
+    assert cert.monomial == (1, 0, 0, 9)
+    obj = {**cert.to_json_obj(), "monomial": "1009"}
+    _put_by_hand(store, "cert@rational@2@5", obj)
+    assert store.get_certificate("rational", 2, 5) is None
+    obj["monomial"] = list(obj["monomial"])
+    _put_by_hand(store, "cert@rational@2@5", obj)
+    assert store.get_certificate("rational", 2, 5) == cert
+
+
+@pytest.mark.parametrize("bad", ["1", "0", 52, "052", None], ids=repr)
+def test_store_rejects_unit_other_than_g0_minus_one(tmp_path, bad):
+    # the unit (g0-1)! 2^(g0-1) is -1 mod g0 in every modular certificate
+    store = Store(tmp_path)
+    cert = certify_mod(17)
+    assert cert.g0 == 53 and cert.to_json_obj()["unit"] == "52"
+    obj = {**cert.to_json_obj(), "unit": bad}
+    _put_by_hand(store, "cert@modular@17@53", obj)
+    assert store.get_certificate("modular", 17, 53) is None
+
+
 def test_store_rejects_corrupt_ref(tmp_path):
     store = Store(tmp_path / "store")
     cert, other = certify_mod(11), certify_mod(12)
@@ -300,7 +337,7 @@ def _race_certificates(worker: int) -> list[Certificate]:
     # need no computation
     return [
         Certificate(kind="modular", k=10, g0=1000 + 40 * worker + j, criterion="e6.1",
-                    unit=1, witness_residue=1, m_indices=(0,), m_values=(1,))
+                    witness_residue=1, m_indices=(0,), m_values=(1,))
         for j in range(40)
     ]
 
@@ -336,8 +373,7 @@ def certificates(draw):
         idx = draw(st.lists(st.integers(0, g0), max_size=3))
         return Certificate(
             kind="modular", k=k, g0=g0, criterion=draw(st.sampled_from(["e6.1", "e6.2"])),
-            ell=draw(st.integers(0, 100)), unit=draw(st.integers(1, g0 - 1)),
-            witness_residue=draw(st.integers(0, g0 - 1)), m_indices=tuple(idx),
+            ell=draw(st.integers(0, 100)), witness_residue=draw(st.integers(0, g0 - 1)), m_indices=tuple(idx),
             m_values=tuple(draw(st.integers(0, g0 - 1)) for _ in idx),
         )
     return Certificate(
@@ -378,6 +414,21 @@ def test_decide_uses_store_cache(tmp_path):
     assert cached is not None
     second = decide(17, 8, store=store)
     assert first.to_json_obj() == second.to_json_obj()
+
+
+def test_class_certificate_tries_g_then_smallest_admissible_prime(monkeypatch):
+    # both inconclusive: (23, 8) falls to the prime gate, (24, 10) to nothing
+    tried = []
+    monkeypatch.setattr("heckebn.verdict.certify_mod", lambda k, p: tried.append((k, p)))
+    v = decide(23, 8)
+    assert tried == [(8, 23), (8, 17)]
+    assert v.certificate is None
+    assert v.class_status == "NONZERO" and v.witness_rule.startswith("class=prime-gate;")
+    tried.clear()
+    v = decide(24, 10)
+    assert tried == [(10, 23)]
+    assert v.certificate is None
+    assert v.class_status == "UNKNOWN" and v.witness_rule.startswith("class=none;")
 
 
 def test_emit_table_shape_and_order():
