@@ -18,12 +18,13 @@ verify(deep=True) recomputes the underlying determinant or pairing.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import tool_stamp
-from .numbers import format_rational, is_prime, next_prime, parse_rational
+from .numbers import format_rational, is_prime, next_prime, parse_canonical_rational
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -111,7 +112,7 @@ def sweep_criteria(k: int, g0: int, m) -> Certificate | None:
     vanishing.
     """
     e = expected_dimension(g0, k)
-    sweep = [("e6.1", 0), *(("e6.2", ell) for ell in range(1, e // 2 + 1))]
+    sweep = itertools.chain([("e6.1", 0)], (("e6.2", ell) for ell in range(1, e // 2 + 1)))
     for criterion, ell in sweep:
         idx = _criterion_indices(g0, e, criterion, ell)
         values = _residues(m, idx)
@@ -277,7 +278,7 @@ class Certificate:
                 g0=_parse_int(obj["g0"]),
                 criterion=obj["criterion"],
                 monomial=_parse_ints(obj["monomial"]),
-                witness_value=parse_rational(obj["witness_value"]),
+                witness_value=parse_canonical_rational(obj["witness_value"]),
                 generated_by=obj["generated_by"],
             )
         raise ValueError(f"unknown certificate kind {kind!r}")

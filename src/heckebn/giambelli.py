@@ -7,8 +7,9 @@ polynomials in beta at h = 1 and a fixed gamma, rationals at a point
 (pk_eval), and coefficient lists over F_g (modular.mj_mod).
 
 Both rational forms come from one engine.  The slice P_k(1, beta, gamma0) is
-det_interpolate of its rows; variant "beta" is the slice at gamma0 = 0.  No
-alpha occurs, so P_k is weighted homogeneous of weight W = k(k+1)/2 in h,
+det_interpolate of its rows, a multimodular determinant on the prime-field
+kernel poly.det_mod_univariate; variant "beta" is the slice at gamma0 = 0.
+No alpha occurs, so P_k is weighted homogeneous of weight W = k(k+1)/2 in h,
 beta, gamma (weights 1, 2, 3): variant "full" interpolates the slices at
 gamma0 = 0..floor(W/3) in gamma and restores h^(W - 2n - 3p).
 
@@ -55,7 +56,13 @@ _MEMO: dict[tuple[int, str], "PkRecord"] = {}
 
 @dataclass(frozen=True)
 class PkRecord:
-    """A computed P_k with provenance."""
+    """A computed P_k with provenance.
+
+    algorithm is a fixed label per variant ("numeric" for P_1(1, beta, 0),
+    else "evaluate-interpolate"), kept across engine changes so that stored
+    records and printed outputs stay byte-identical; it does not name the
+    engine that computed the polynomial.
+    """
 
     k: int
     variant: str

@@ -19,6 +19,7 @@ from fractions import Fraction
 __all__ = [
     "format_rational",
     "parse_rational",
+    "parse_canonical_rational",
     "binomial",
     "is_prime",
     "next_prime",
@@ -40,14 +41,27 @@ def format_rational(q: Fraction | int) -> str:
 
 
 def parse_rational(s: str) -> Fraction:
-    """Inverse of format_rational; accepts any "num" or "num/den" string.
+    """Any string Fraction parses, surrounding whitespace ignored: the
+    command line's reader.  Stored records use parse_canonical_rational.
 
-    Anything but a str raises TypeError, so a reader of stored records treats
-    a malformed coefficient as a bad record.
+    Anything but a str raises TypeError.
     """
     if not isinstance(s, str):
         raise TypeError(f"rational must be a string, not {type(s).__name__}")
     return Fraction(s.strip())
+
+
+def parse_canonical_rational(s: str) -> Fraction:
+    """Inverse of format_rational on its image only, for stored records.
+
+    "3392.0", "6784/2", " 3392" and "3.392e3" all parse as 3392, but only
+    "3392" is what format_rational writes: any other form raises ValueError,
+    anything but a str TypeError.
+    """
+    q = parse_rational(s)
+    if format_rational(q) != s:
+        raise ValueError(f"not a rational as format_rational writes it: {s!r}")
+    return q
 
 
 def binomial(n: int, k: int) -> int:

@@ -6,30 +6,33 @@ classes here have even cohomological degree).  GradedPoly carries what the
 library uses: construction, +, -, *, degree_in, coeffs_in, items and JSON.
 Substitution, evaluation and powers are test oracles (tests/oracles.py).
 
-Rational determinants: det_numeric (integer Bareiss) for scalar matrices and
-det_interpolate for matrices of polynomials in beta, which runs in Python
-integers: rows scaled to integer coefficients, every entry evaluated at each
-node by Horner's rule, integer Bareiss at each node, and Newton's forward
-differences over one common denominator.  det_minor_expansion, Laplace
-expansion in any symbols, is the tests' reference and on no library path.
+One polynomial-determinant kernel, det_mod_univariate: Bareiss over F_p[x]
+on the whole active block, for one prime or a batch of primes at once, a
+pivot step being a few Toeplitz matrix products, one x-adic series inverse
+of the previous pivot and a multiply-back check.  While 2 p^2 n max_len <
+2^53 coefficients sit in float64 as exact integers: every sum has
+nonnegative terms below 2^53, so no BLAS partial sum rounds.  Above that,
+Python-int object arrays.
 
-Prime-field work never builds a polynomial object: det_mod_univariate runs
-Bareiss over F_p[x] on the whole active block, a pivot step being a few
-Toeplitz matrix products, one x-adic series inverse of the previous pivot
-and a multiply-back check.  While 2 p^2 n max_len < 2^53 coefficients sit
-in float64 as exact integers: every sum has nonnegative terms below 2^53,
-so no BLAS partial sum rounds.  Above that, Python-int object arrays.
+det_interpolate, the determinant over Q of a matrix of polynomials in beta,
+is multimodular on that kernel: rows scaled to integers, the determinant mod
+primes taken downward from the float64 bound, as many as a proven
+coefficient bound needs, batched by bytes, and the Chinese remainder theorem
+in the symmetric range.  det_numeric (integer Bareiss) serves scalar
+matrices; det_minor_expansion, Laplace expansion in any symbols, is the
+tests' reference and on no library path.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .numbers import format_rational, parse_rational
+from .numbers import format_rational, is_prime, parse_canonical_rational
 
 __all__ = [
     "SYMBOLS",
@@ -199,7 +202,7 @@ class GradedPoly:
 
     @classmethod
     def from_json_obj(cls, obj: Iterable[dict]) -> GradedPoly:
-        return cls({tuple(term["e"]): parse_rational(term["c"]) for term in obj})
+        return cls({tuple(term["e"]): parse_canonical_rational(term["c"]) for term in obj})
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -316,42 +319,71 @@ def det_numeric(rows: list[list[int | Fraction]]) -> Fraction:
 
 
 def det_interpolate(rows: Sequence[Sequence[GradedPoly]]) -> GradedPoly:
-    """Determinant of a square matrix of polynomials in beta, by evaluation at
-    0..B and interpolation.
+    """Determinant of a square matrix of polynomials in beta, over Q.
 
-    B is the generic row-degree bound sum(max_j deg entry(i, j)); the true
-    determinant degree can be smaller, which interpolation detects on its own.
-    All work is in integers: each row is scaled by the lcm of its coefficient
-    denominators, every entry is evaluated at each node by Horner's rule,
-    det_numeric takes the integer matrix, and _interp_nodes turns the node
-    values into coefficients over one common denominator.  An entry in any
-    other symbol raises ValueError.
+    The name is kept from the evaluation/interpolation engine this replaced;
+    the method is multimodular.  Each row is scaled by the lcm of its
+    coefficient denominators.  The integer determinant D has coefficients
+    of absolute value at most prod_i sum_j ||a_ij||_1: its l1 norm is at
+    most the sum of the l1 norms of the Leibniz terms, each term's norm is
+    at most the product of its entries' norms, and expanding the product
+    over rows of the row sums of norms yields every Leibniz term.
+    det_mod_univariate takes D mod the primes of _crt_primes, a batch of
+    primes per call, until their product exceeds twice that bound; the
+    Chinese remainder theorem in the symmetric range gives D exactly, and
+    D over the product of the row scales is the determinant.  An entry in
+    any other symbol raises ValueError.
     """
-    bound = 0
     denom = 1
+    bound = 1
     scaled_rows = []
     for row in rows:
-        d = max(p.degree_in("beta") for p in row)
-        if d < 0:
-            return GradedPoly.zero()
-        bound += d
         l = math.lcm(*(c.denominator for p in row for c in p.coeffs.values()))
+        scaled = [[c.numerator * (l // c.denominator) for c in p.coeffs_in("beta")] for p in row]
+        norm = sum(abs(c) for e in scaled for c in e)
+        if not norm:
+            return GradedPoly.zero()
         denom *= l
-        scaled_rows.append(
-            [[c.numerator * (l // c.denominator) for c in p.coeffs_in("beta")] for p in row]
-        )
-    ys = []
-    for x in range(bound + 1):
-        values = [[_horner(e, x) for e in row] for row in scaled_rows]
-        ys.append(det_numeric(values).numerator)
-    return poly_from_coeffs(_interp_nodes(ys, denom))
+        bound *= norm
+        scaled_rows.append(scaled)
+    n = len(scaled_rows)
+    max_len = max(len(e) for row in scaled_rows for e in row)
+    primes = _crt_primes(2 * bound, n, max_len)
+    batch = max(1, _STACK_BYTES // (8 * n * n * max_len))
+    residues = []
+    for i in range(0, len(primes), batch):
+        residues += det_mod_univariate(scaled_rows, primes[i : i + batch])
+    return poly_from_coeffs(Fraction(c, denom) for c in _crt_symmetric(residues, primes))
 
 
-def _horner(coeffs: list[int], x: int) -> int:
-    v = 0
-    for c in reversed(coeffs):
-        v = v * x + c
-    return v
+def _crt_primes(bound: int, n: int, max_len: int) -> list[int]:
+    """Primes downward from the largest p with 2 p^2 n max_len < 2^53, the
+    float64 bound of det_mod_univariate, until their product exceeds bound."""
+    p = math.isqrt((2**53 - 1) // (2 * n * max_len))
+    primes, product = [], 1
+    while product <= bound:
+        while not is_prime(p):
+            if p < 2:
+                raise ValueError("not enough primes below the float64 bound")
+            p -= 1
+        primes.append(p)
+        product *= p
+        p -= 1
+    return primes
+
+
+def _crt_symmetric(residues: list[list[int]], primes: list[int]) -> list[int]:
+    """The integers c_t with |c_t| < M/2, M = prod(primes), and c_t =
+    residues[i][t] mod primes[i]; a residue list shorter than another reads
+    as 0 beyond its end."""
+    m = math.prod(primes)
+    out = [0] * max(map(len, residues))
+    for r, p in zip(residues, primes):
+        w = m // p * pow(m // p, -1, p)  # 1 mod p, 0 mod every other prime
+        for t, c in enumerate(r):
+            out[t] += c * w
+    half = m // 2
+    return [c - m if c > half else c for c in (c % m for c in out)]
 
 
 def _interp_nodes(ys: list[int], den: int) -> list[Fraction]:
@@ -388,7 +420,13 @@ def _interp_nodes(ys: list[int], den: int) -> list[Fraction]:
 
 # dense univariate arithmetic over F_p on arrays of integers in [0, p)
 
-_BLOCK_BYTES = 1 << 16  # numerator bytes of the rows a pivot step takes at once
+# Bytes of the blocks a pivot step takes at once: numerator rows for one
+# prime; numerator rows and their Toeplitz blocks for a batch of primes.
+# With _STACK_BYTES, the input bytes of the matrices one det_interpolate call
+# stacks, these keep the batched peak RSS near 1 MB above one-prime work.
+_BLOCK_BYTES = 1 << 16
+_BATCH_BLOCK_BYTES = 1 << 18
+_STACK_BYTES = 1 << 17
 _CHUNK = 64  # columns per Toeplitz block
 
 
@@ -397,11 +435,12 @@ def _coeff_dtype(p: int, n: int, max_len: int):
     return np.float64 if 2 * p * p * n * max_len < 2**53 else object
 
 
-def _reduce(x, p: int):
-    """x mod p, in place on float64 integers 0 <= x < 2^53.  With x = kp + j,
-    0 <= j < p, x / p lies d/p below k + 1 (d = p - j >= 1), and half the
-    float spacing below k + 1 is under (k + 1) 2^-53 = (x + d) / (p 2^53) <=
-    d/p: x / p rounds to no integer above k, so floor(x / p) is exact."""
+def _reduce(x, p):
+    """x mod p, in place on float64 integers 0 <= x < 2^53; p is a prime or an
+    array of primes broadcasting against x.  With x = kp + j, 0 <= j < p,
+    x / p lies d/p below k + 1 (d = p - j >= 1), and half the float spacing
+    below k + 1 is under (k + 1) 2^-53 = (x + d) / (p 2^53) <= d/p: x / p
+    rounds to no integer above k, so floor(x / p) is exact."""
     if x.dtype == object:
         return x % p
     q = x / p
@@ -417,11 +456,11 @@ def _conv(x, f, out_len: int):
     [f, 0 * rows], serves every column slice of x; products overlap-add."""
     n, lf, lead = x.shape[-1], f.shape[-1], f.shape[:-1]
     c = min(n, _CHUNK)
-    w = c + lf - 1
+    w = c + lf - 1 if c < n else max(n + lf - 1, out_len)  # one block: out_len wide
     t = np.zeros(lead + (c * (w + 1),), dtype=f.dtype)
     t.reshape(lead + (c, w + 1))[..., :lf] = f[..., None, :]
     t = t[..., : c * w].reshape(lead + (c, w))
-    if c == n and w >= out_len:
+    if c == n:
         return np.matmul(x, t[..., :out_len])
     for c0 in range(0, n, c):
         hi = min(c0 + w, out_len)
@@ -432,30 +471,48 @@ def _conv(x, f, out_len: int):
     return out
 
 
-def _series_inverse(f, width: int, p: int):
-    """g with f * g = 1 mod (x^width, p), by Newton iteration; needs f[0] != 0."""
-    g = np.zeros(width, dtype=f.dtype)
-    g[0] = pow(int(f[0]), -1, p)
-    m = 1
-    while m < width:
-        m = min(2 * m, width)
-        e = _reduce(p - _reduce(np.convolve(f[:m], g[:m])[:m], p), p)
-        e[0] = (e[0] + 2) % p
-        g[:m] = _reduce(np.convolve(g[:m], e)[:m], p)
+def _series_inverse(f, width: int, p):
+    """g with f * g = 1 mod (x^width, p), by Newton iteration; needs f[..., 0] != 0.
+
+    f is a vector and p a prime (np.convolve, one call per product), or f
+    is a stack of vectors and p the column of their primes (_conv).  With g
+    right mod x^h, f g = 1 + x^h r, and g (1 - x^h r) is right mod x^2h: each
+    doubling computes r and the new top -g r, where a multiple of p above
+    the sum g r makes the negation one reduction."""
+    g = np.zeros(f.shape[:-1] + (width,), dtype=f.dtype)
+    if f.ndim == 1:
+        g[0] = pow(int(f[0]), -1, p)
+        mul = lambda u, v, m: np.convolve(u, v)[:m]  # noqa: E731
+    else:
+        g[:, 0] = [pow(int(c), -1, int(q)) for c, q in zip(f[:, 0], p[:, 0])]
+        mul = lambda u, v, m: _conv(u[:, None], v, m)[:, 0]  # noqa: E731
+    h = 1
+    while h < width:
+        m = min(2 * h, width)
+        r = _reduce(mul(f[..., :m], g[..., :m], m)[..., h:], p)  # g is 0 from h on
+        g[..., h:m] = _reduce((m - h) * p * p - mul(g[..., : m - h], r, m - h), p)
+        h = m
     return g
 
 
-def _divexact(num, v: int, pv, inv, p: int):
+def _divexact(num, v: int, pv, inv, p):
     """Exact quotients num / (x^v pv) over F_p, inv = 1/pv mod x^len(inv): the
-    truncated products of num / x^v with inv, checked by multiplying back."""
-    qlen = num.shape[-1] - v - len(pv) + 1
+    truncated products q of num / x^v with inv.  pv, inv and p are one
+    vector and a prime, or stacks broadcasting against num.  q pv equals
+    num / x^v below x^len(q) by the choice of inv, so multiplying back checks
+    the top len(pv) - 1 coefficients: the low ones of the product of the
+    reversals."""
+    qlen = num.shape[-1] - v - pv.shape[-1] + 1
     if num[..., :v].any() or (qlen < 1 and num.any()):
         raise ArithmeticError("inexact modular polynomial division")
     num = num[..., v:]
     if qlen < 1:
         return num[..., :0]
-    q = _reduce(_conv(num[..., :qlen], inv[:qlen], qlen), p)
-    if not np.array_equal(_reduce(_conv(q, pv, num.shape[-1]), p), num):
+    q = _reduce(_conv(num[..., :qlen], inv[..., :qlen], qlen), p)
+    top = pv.shape[-1] - 1
+    if top and not np.array_equal(
+        _reduce(_conv(q[..., : -top - 1 : -1], pv[..., ::-1], top), p), num[..., : qlen - 1 : -1]
+    ):
         raise ArithmeticError("inexact modular polynomial division")
     return q
 
@@ -466,58 +523,127 @@ def _trim_block(a):
     return a[..., : nz[-1] + 1 if len(nz) else 0]
 
 
-def det_mod_univariate(coeff_rows: list[list[list[int]]], p: int) -> list[int]:
+def _residue_stack(coeff_rows, primes: list[int], ps, max_len: int):
+    """a[q, i, j] = entry (i, j) mod primes[q], zero-padded to max_len.
+
+    One prime, or primes above the float64 bound, reduce in Python.  Several
+    float64 primes take one matrix product: |c| in base-256 digits times the
+    weights 256^d mod q, every sum below 2^8 q digits < 2^53 for q < 2^26
+    and fewer than 2^19 digits; a negative c then maps r to q - r."""
+    n = len(coeff_rows)
+    flat = [c for row in coeff_rows for e in row for c in e]
+    if len(primes) == 1 or ps.dtype == object:
+        r = np.array([[c % q for c in flat] for q in primes], dtype=ps.dtype)
+    else:
+        width = max(map(abs, flat), default=0).bit_length() // 8 + 1
+        digits = np.frombuffer(b"".join(abs(c).to_bytes(width, "little") for c in flat), np.uint8)
+        weights = np.array([[pow(256, d, q) for d in range(width)] for q in primes], dtype=ps.dtype)
+        r = _reduce(weights @ digits.reshape(len(flat), width).T, ps[:, None])
+        r = np.where(np.array([c < 0 for c in flat], dtype=bool) & (r != 0), ps[:, None] - r, r)
+    lens = np.array([len(e) for row in coeff_rows for e in row])
+    a = np.zeros((len(primes), n * n, max_len), dtype=ps.dtype)
+    a[:, np.arange(max_len) < lens[:, None]] = r
+    return a.reshape(len(primes), n, n, max_len)
+
+
+def det_mod_univariate(coeff_rows: list[list[list[int]]], p):
     """Determinant over F_p[x] of a matrix given as coefficient lists.
 
+    p is a prime, and the determinant comes back as a coefficient list; or p
+    is a sequence of primes, and one Bareiss runs on the stack of the
+    matrix's reductions mod each of them, giving one list per prime.
     Fraction-free Bareiss on the whole active block a: entry (i, j) becomes
     (piv a[i, j] + (-a[i, 0] mod p) a[0, j]) / prev, piv = a[0, 0], both
-    terms Toeplitz products over blocks of rows.  prev = x^v pv, pv(0) != 0,
-    is inverted once per step as an x-adic series; every quotient is checked
-    by multiplying back.  Coefficients are integers in [0, p), in float64
-    while 2 p^2 n max_len < 2^53: entries are minors of length <= n max_len
-    and quotients at most twice that, so every sum has <= 2 n max_len terms
-    in [0, p^2), every BLAS partial sum in any order is an exact integer
-    below 2^53, and x - floor(x/p) p reduces it exactly.  Above the bound
-    the same code runs on Python-int object arrays.  Raises ValueError on
-    an empty or non-square matrix, TypeError on a coefficient not an int."""
+    terms Toeplitz products over blocks of (prime, row) pairs.
+    prev = x^v pv, pv(0) != 0, is inverted once per step as an x-adic
+    series; every quotient is checked by multiplying back (_divexact).  The
+    primes of a stack share each pivot row and the valuation and length of
+    each prev; a prime that would differ from the first prime in any of
+    these leaves the stack and is finished by a call of its own.
+
+    Coefficients are integers in [0, p), in float64 while 2 p^2 n max_len <
+    2^53 for the largest p: entries are minors of length <= n max_len and
+    quotients at most twice that, so every sum has <= 2 n max_len terms in
+    [0, p^2), every BLAS partial sum in any order is an exact integer below
+    2^53, and x - floor(x/p) p reduces it exactly.  Above the bound the same
+    code runs on Python-int object arrays.  Raises ValueError on an empty or
+    non-square matrix or no prime, TypeError on a coefficient not an int."""
     n = len(coeff_rows)
-    if n == 0 or any(len(row) != n for row in coeff_rows):
-        raise ValueError("det_mod_univariate needs a nonempty square matrix")
+    single = isinstance(p, int)
+    primes = [p] if single else list(map(operator.index, p))
+    if n == 0 or not primes or any(len(row) != n for row in coeff_rows):
+        raise ValueError("det_mod_univariate needs a nonempty square matrix and a prime")
     if not all(isinstance(c, int) for row in coeff_rows for e in row for c in e):
         raise TypeError("det_mod_univariate takes int coefficients")
     max_len = max(1, *(len(e) for row in coeff_rows for e in row))
-    pad = [[[c % p for c in e] + [0] * (max_len - len(e)) for e in row] for row in coeff_rows]
-    a = np.array(pad, dtype=_coeff_dtype(p, n, max_len))
-    del pad  # as large as `a`, and not needed again
+    dtype = _coeff_dtype(max(primes), n, max_len)
+    ps = np.array(primes, dtype=dtype)
+    a = _residue_stack(coeff_rows, primes, ps, max_len)
+    dets: list = [None] * len(primes)
+    at = np.arange(len(primes))  # position in dets of each prime of the stack
     sign, prev = 1, None  # the first step divides by 1
     for m in range(n - 1, 0, -1):
-        live = (a[:, 0] != 0).any(axis=-1)
-        if not live[0]:
-            if not live.any():
-                return [0]
-            i = int(live.nonzero()[0][0])
-            a[[0, i]] = a[[i, 0]]
-            sign = -sign
-        piv = _trim_block(a[0, 0]).copy()  # a copy, so prev does not keep `a`
-        negc = _trim_block(np.where(a[1:, 0], p - a[1:, 0], 0))
-        num_len = a.shape[-1] + max(len(piv), negc.shape[-1]) - 1
-        if prev is not None:
-            v = int(prev.nonzero()[0][0])
-            inv = _series_inverse(prev[v:], max(num_len - len(prev) + 1, 1), p)
-        block = max(1, _BLOCK_BYTES // (8 * m * num_len))
-        for i0 in range(0, m, block):
-            num = _conv(a[1 + i0 : 1 + i0 + block, 1:], piv, num_len)
-            if negc.shape[-1]:
-                num += _conv(a[0, 1:], negc[i0 : i0 + block], num_len)
-            q = _reduce(num, p)
+        live = (a[:, :, 0] != 0).any(axis=-1)
+        if len(ps) > 1:
+            # each prime's pivot row, and the valuation and length of its prev
+            key = [np.where(live.any(axis=1), live.argmax(axis=1), -1)]
             if prev is not None:
-                q = _divexact(q, v, prev[v:], inv, p)
-            if i0 == 0:
-                out = q if block >= m else np.empty((m, m, q.shape[-1]), dtype=a.dtype)
-            if block < m:
-                out[i0 : i0 + block] = q
+                nz = prev != 0
+                key += [nz.argmax(axis=1), nz[:, ::-1].argmax(axis=1)]
+            apart = np.any([k != k[0] for k in key], axis=0)
+            if apart.any():
+                for i in at[apart]:
+                    dets[i] = det_mod_univariate(coeff_rows, primes[i])
+                keep = ~apart
+                a, ps, at, live = a[keep], ps[keep], at[keep], live[keep]
+                prev = None if prev is None else _trim_block(prev[keep])
+        if not live[0, 0]:
+            if not live[0].any():
+                a = a[:, :1, :1, :0]  # a zero first column: every determinant is 0
+                break
+            i = int(live[0].nonzero()[0][0])
+            a[:, [0, i]] = a[:, [i, 0]]
+            sign = -sign
+        p4 = ps[:, None, None, None]
+        piv = _trim_block(a[:, 0, 0]).copy()  # a copy, so prev does not keep `a`
+        negc = _trim_block(np.where(a[:, 1:, 0], p4[..., 0] - a[:, 1:, 0], 0))
+        num_len = a.shape[-1] + max(piv.shape[-1], negc.shape[-1]) - 1
+        if prev is not None:
+            v = int(prev[0].nonzero()[0][0])
+            width = max(num_len - prev.shape[-1] + 1, 1)
+            if single:
+                inv = _series_inverse(prev[0, v:], width, p)[None]
+            else:
+                inv = _series_inverse(prev[:, v:], width, p4[:, 0, 0])
+        if single:
+            pairs = max(1, _BLOCK_BYTES // (8 * m * num_len))
+        else:  # a numerator row and the Toeplitz block of its -a[i, 0]
+            pairs = max(1, _BATCH_BLOCK_BYTES // (8 * (m + min(a.shape[-1], _CHUNK)) * num_len))
+        qb, rb = (pairs // m, m) if pairs >= m else (1, pairs)
+        whole = qb >= len(ps) and rb >= m
+        for q0 in range(0, len(ps), qb):
+            qs = slice(q0, q0 + qb)
+            for i0 in range(0, m, rb):
+                # the -a[i, 0] term first: its Toeplitz stack is freed before
+                # the second product, whose Toeplitz block is one per prime
+                num = _conv(a[qs, :1, 1:], negc[qs, i0 : i0 + rb], num_len)
+                num += _conv(a[qs, 1 + i0 : 1 + i0 + rb, 1:], piv[qs, None], num_len)
+                q = _reduce(num, p4[qs])
+                del num  # no block keeps its temporaries while the next one runs
+                if prev is not None:
+                    q = _divexact(q, v, prev[qs, None, v:], inv[qs, None], p4[qs])
+                if whole:
+                    out = q
+                else:
+                    if q0 == i0 == 0:
+                        out = np.empty((len(ps), m, m, q.shape[-1]), dtype=a.dtype)
+                    out[qs, i0 : i0 + rb] = q
+                    del q
         a, prev = _trim_block(out), piv
-    return [int(c) if sign > 0 else int(p - c) % p for c in _trim_block(a[0, 0])] or [0]
+    for q, i in enumerate(at):
+        pq, c = int(ps[q]), _trim_block(a[q, 0, 0])
+        dets[i] = [int(x) if sign > 0 else int(pq - x) % pq for x in c] or [0]
+    return dets[0] if single else dets
 
 
 def root_multiplicity(p: GradedPoly, root: Fraction | int) -> int:

@@ -2,7 +2,8 @@
 
 None of these is on a production path.  Each one reaches a result the
 library also computes, by a different route: fraction-free Bareiss with
-exact polynomial division against the library's determinant engines, the
+exact polynomial division, and evaluation at integer nodes with
+interpolation, against the library's determinant engines, the
 exponential generating series against the Chern recurrence, a pairing over
 the Hecke correspondence that reduces each h^r by iterating
 h^2 = alpha h - (alpha^2 - beta)/4 against the library's binomial closed
@@ -15,6 +16,7 @@ walks that the closed-form prime finders replaced.
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -22,6 +24,7 @@ from heckebn.giambelli import closed_form_14, pk_eval
 from heckebn.hecke import thaddeus_number
 from heckebn.numbers import binomial, is_prime, next_prime
 from heckebn.poly import ALPHA, BETA, GAMMA, SYMBOLS, WEIGHTS, H, GradedPoly
+from heckebn.poly import _interp_nodes, det_numeric, poly_from_coeffs
 
 
 def reduce_mod(coeffs: list, g: int) -> list[int]:
@@ -177,6 +180,43 @@ def det_bareiss(rows: Sequence[Sequence[GradedPoly]]) -> GradedPoly:
         prev = a[r][r]
     out = a[n - 1][n - 1]
     return -out if sign < 0 else out
+
+
+def det_by_nodes(rows: Sequence[Sequence[GradedPoly]]) -> GradedPoly:
+    """Determinant of a matrix of polynomials in beta by evaluation at 0..B
+    and interpolation: the engine the multimodular det_interpolate replaced.
+
+    B is the generic row-degree bound sum(max_j deg entry(i, j)).  Each row
+    is scaled by the lcm of its coefficient denominators, every entry is
+    evaluated at each node by Horner's rule, det_numeric (integer Bareiss)
+    takes each integer matrix, and _interp_nodes turns the node values into
+    coefficients over one common denominator.
+    """
+    bound = 0
+    denom = 1
+    scaled_rows = []
+    for row in rows:
+        d = max(p.degree_in("beta") for p in row)
+        if d < 0:
+            return GradedPoly.zero()
+        bound += d
+        l = math.lcm(*(c.denominator for p in row for c in p.coeffs.values()))
+        denom *= l
+        scaled_rows.append(
+            [[c.numerator * (l // c.denominator) for c in p.coeffs_in("beta")] for p in row]
+        )
+    ys = []
+    for x in range(bound + 1):
+        values = [[_horner(e, x) for e in row] for row in scaled_rows]
+        ys.append(det_numeric(values).numerator)
+    return poly_from_coeffs(_interp_nodes(ys, denom))
+
+
+def _horner(coeffs: list[int], x: int) -> int:
+    v = 0
+    for c in reversed(coeffs):
+        v = v * x + c
+    return v
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heckebn import poly
+from heckebn.chern import chern_tilde
+from heckebn.giambelli import giambelli_rows
+from heckebn.numbers import is_prime
 from heckebn.poly import (
     ALPHA,
     BETA,
@@ -28,6 +31,7 @@ from heckebn.poly import (
 )
 from oracles import (
     det_bareiss,
+    det_by_nodes,
     evaluate,
     exact_div,
     half_degree,
@@ -158,10 +162,9 @@ def test_det_engines_agree_univariate():
         assert det_interpolate(m) == det_minor_expansion(m) == det_bareiss(m)
 
 
-# Reference interpolation path: the symbolic one det_interpolate replaced.  It
-# substitutes each node into every entry with Fraction arithmetic and runs
-# Newton's divided differences on Fractions; it shares no code with
-# poly._interp_nodes, which works on integers over one common denominator.
+# Reference interpolation: Newton's divided differences on Fractions.  It
+# shares no code with poly._interp_nodes, which works on integers over one
+# common denominator.
 
 
 def ref_interp_newton(xs: list[int], ys: list[Fraction]) -> list[Fraction]:
@@ -183,21 +186,6 @@ def ref_interp_newton(xs: list[int], ys: list[Fraction]) -> list[Fraction]:
     while len(out) > 1 and out[-1] == 0:
         out.pop()
     return out
-
-
-def ref_det_interpolate(m: list[list[GradedPoly]]) -> GradedPoly:
-    bound = 0
-    for row in m:
-        d = max(p.degree_in("beta") for p in row)
-        if d < 0:
-            return GradedPoly.zero()
-        bound += d
-    xs = list(range(bound + 1))
-    ys = [
-        det_numeric([[evaluate(p, beta=x) for p in row] for row in m])
-        for x in xs
-    ]
-    return poly_from_coeffs(ref_interp_newton(xs, ys))
 
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
@@ -227,8 +215,10 @@ def rational_univariate_matrices(draw):
 @settings(max_examples=100, deadline=None)
 @given(rational_univariate_matrices())
 def test_det_interpolate_matches_reference(m):
+    # the multimodular engine against the node-by-node engine it replaced and
+    # against Laplace expansion
     got = det_interpolate(m)
-    assert got == ref_det_interpolate(m) == det_minor_expansion(m)
+    assert got == det_by_nodes(m) == det_minor_expansion(m)
 
 
 @settings(max_examples=200, deadline=None)
@@ -359,8 +349,11 @@ def _integer_matrix(coeff_rows) -> list[list[GradedPoly]]:
 
 
 def _rational_det_mod(coeff_rows, p: int) -> list[int]:
-    """The rational determinant of the same integer matrix, reduced mod p."""
-    d = det_interpolate(_integer_matrix(coeff_rows))
+    """The rational determinant of the same integer matrix, reduced mod p.
+
+    det_by_nodes shares no code with the prime-field kernel, which the
+    library's det_interpolate now runs on."""
+    d = det_by_nodes(_integer_matrix(coeff_rows))
     return _ref_trim(reduce_mod(d.coeffs_in("beta"), p))
 
 
@@ -396,6 +389,80 @@ def test_det_mod_matches_reference_kernels(case):
     got = det_mod_univariate(rows, p)
     assert got == ref_det_mod(rows, p)
     assert _ref_trim(got) == _rational_det_mod(rows, p)
+
+
+@st.composite
+def mod_batches(draw):
+    """Integer matrices and batches of small primes, with repeats.  Zero
+    pivots, pivot valuations that differ between the primes and determinants
+    that vanish mod some primes only are all common at these primes."""
+    primes = draw(st.lists(st.sampled_from(PRIMES), min_size=1, max_size=6))
+    n = draw(st.integers(1, 5))
+    coeff = st.integers(-3000, 3000)
+    rows = [[draw(st.lists(coeff, max_size=4)) for _ in range(n)] for _ in range(n)]
+    q = draw(st.sampled_from(primes))
+    if draw(st.booleans()):
+        # entry (0, 0) vanishes mod q, and maybe mod no other prime
+        rows[0][0] = [q * c for c in rows[0][0]]
+    if draw(st.booleans()):
+        # row 0 is divisible by x mod q: the next pivot's valuation splits
+        rows[0] = [[q * e[0]] + e[1:] if e else e for e in rows[0]]
+    if n > 1 and draw(st.booleans()):
+        rows[-1] = [list(e) for e in rows[0]]
+    return primes, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(mod_batches())
+def test_det_mod_prime_batch_matches_single_primes(case):
+    primes, rows = case
+    assert det_mod_univariate(rows, primes) == [det_mod_univariate(rows, q) for q in primes]
+
+
+def test_det_mod_batch_pivot_vanishing_mod_one_prime():
+    # entry (0, 0) is 7 (x + 1): 0 mod 7 only, so 7 alone needs a row swap in
+    # the first step; 2^31 - 1 is above the float64 bound, so the stack runs
+    # on Python ints
+    rows = [[[7, 7], [1], [2, 1]], [[1, 1], [3], [0, 1]], [[2], [1, 4], [5]]]
+    for primes in ([5, 7, 101], [7, 5], [101, 7, 7, 1009], [7, 2**31 - 1]):
+        want = [ref_det_mod(rows, q) for q in primes]
+        assert det_mod_univariate(rows, primes) == want
+        assert [det_mod_univariate(rows, q) for q in primes] == want
+    assert [[c % q for c in rows[0][0]] for q in (5, 7, 101)] == [[2, 2], [0, 0], [7, 7]]
+
+
+def test_crt_primes_descend_from_the_float_bound(monkeypatch):
+    # the primes det_interpolate hands the kernel for P_12(1, beta, 0)
+    k = 12
+    rows = giambelli_rows(k, [chern_tilde(i) for i in range(2 * k)], GradedPoly.zero())
+    seen: list[int] = []
+
+    def spy(coeff_rows, primes):
+        seen.extend(primes)
+        return det_mod_univariate(coeff_rows, primes)
+
+    monkeypatch.setattr(poly, "det_mod_univariate", spy)
+    first = det_interpolate(rows)
+    primes = list(seen)
+    seen.clear()
+    assert det_interpolate(rows) == first and seen == primes  # deterministic
+    # the l1 row-product bound on the integer determinant, from the scaled rows
+    bound, max_len = 1, 0
+    for row in rows:
+        l = math.lcm(*(c.denominator for e in row for c in e.coeffs.values()))
+        scaled = [[c.numerator * (l // c.denominator) for c in e.coeffs_in("beta")] for e in row]
+        bound *= sum(abs(c) for e in scaled for c in e)
+        max_len = max(max_len, *map(len, scaled))
+    # consecutive primes downward from the largest p with 2 p^2 n max_len < 2^53
+    top = int(math.sqrt(2**53 / (2 * k * max_len))) + 2
+    assert 2 * top * top * k * max_len >= 2**53
+    while not (is_prime(top) and 2 * top * top * k * max_len < 2**53):
+        top -= 1
+    walk = [top]
+    while len(walk) < len(primes):
+        walk.append(max(q for q in range(walk[-1] - 1, walk[-1] - 500, -1) if is_prime(q)))
+    assert primes == walk
+    assert math.prod(primes) > 2 * bound >= math.prod(primes[:-1])
 
 
 def _divide(num, den: list[int], p: int) -> list:
@@ -531,6 +598,8 @@ def test_det_mod_rejects_malformed_matrices():
         det_mod_univariate([[[1], [2]]], 5)
     with pytest.raises(ValueError):
         det_mod_univariate([[[1], [2]], [[3]]], 5)
+    with pytest.raises(ValueError):
+        det_mod_univariate([[[1]]], [])
     with pytest.raises(TypeError):
         det_mod_univariate([[[1.5]]], 5)
     with pytest.raises(TypeError):

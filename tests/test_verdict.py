@@ -283,6 +283,30 @@ def test_store_rejects_string_for_monomial(tmp_path):
     assert store.get_certificate("rational", 2, 5) == cert
 
 
+@pytest.mark.parametrize("bad", ["3392.0", "6784/2", " 3392", "3.392e3"], ids=repr)
+def test_store_rejects_non_canonical_witness_value(tmp_path, bad):
+    # each of these parses as the witness 3392 and once read back as the true
+    # certificate; stored rationals are read only as format_rational writes them
+    store = Store(tmp_path)
+    cert = rational_certificate(5, 2).certificate
+    assert cert.to_json_obj()["witness_value"] == "3392"
+    _put_by_hand(store, "cert@rational@2@5", {**cert.to_json_obj(), "witness_value": bad})
+    assert store.get_certificate("rational", 2, 5) is None
+    _put_by_hand(store, "cert@rational@2@5", cert.to_json_obj())
+    assert store.get_certificate("rational", 2, 5) == cert
+
+
+@pytest.mark.parametrize("bad", ["2/180", " 1/90", "+1/90", "1/090", "1_0/900"], ids=repr)
+def test_store_rejects_non_canonical_coefficient(tmp_path, bad):
+    # the beta^2 coefficient 1/90 of P_3 in forms Fraction also parses
+    store = Store(tmp_path)
+    obj = pk_beta(3).to_json_obj()
+    assert obj["poly"][2] == {"e": [0, 0, 2, 0], "c": "1/90"}
+    obj["poly"][2]["c"] = bad
+    _put_by_hand(store, "pk@beta@3", obj)
+    assert store.get_pk_record(3, "beta") is None
+
+
 @pytest.mark.parametrize("bad", ["1", "0", 52, "052", None], ids=repr)
 def test_store_rejects_unit_other_than_g0_minus_one(tmp_path, bad):
     # the unit (g0-1)! 2^(g0-1) is -1 mod g0 in every modular certificate
