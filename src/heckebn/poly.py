@@ -9,10 +9,10 @@ Substitution, evaluation and powers are test oracles (tests/oracles.py).
 One polynomial-determinant kernel, det_mod_univariate: Bareiss over F_p[x]
 on the whole active block, for one prime or a batch of primes at once, a
 pivot step being a few Toeplitz matrix products, one x-adic series inverse
-of the previous pivot and a multiply-back check.  While 2 p^2 n max_len <
-2^53 coefficients sit in float64 as exact integers: every sum has
-nonnegative terms below 2^53, so no BLAS partial sum rounds.  Above that,
-Python-int object arrays.
+of the previous pivot, and multiply-back checks of that inverse and of the
+top of each quotient.  While 2 p^2 n max_len < 2^53 coefficients sit in
+float64 as exact integers: every sum has nonnegative terms below 2^53, so
+no BLAS partial sum rounds.  Above that, Python-int object arrays.
 
 det_interpolate, the determinant over Q of a matrix of polynomials in beta,
 is multimodular on that kernel: rows scaled to integers, the determinant mod
@@ -499,9 +499,9 @@ def _divexact(num, v: int, pv, inv, p):
     """Exact quotients num / (x^v pv) over F_p, inv = 1/pv mod x^len(inv): the
     truncated products q of num / x^v with inv.  pv, inv and p are one
     vector and a prime, or stacks broadcasting against num.  q pv equals
-    num / x^v below x^len(q) by the choice of inv, so multiplying back checks
-    the top len(pv) - 1 coefficients: the low ones of the product of the
-    reversals."""
+    num / x^v below x^len(q) when inv is right, which det_mod_univariate
+    checks once per pivot step, so multiplying back checks the top
+    len(pv) - 1 coefficients: the low ones of the product of the reversals."""
     qlen = num.shape[-1] - v - pv.shape[-1] + 1
     if num[..., :v].any() or (qlen < 1 and num.any()):
         raise ArithmeticError("inexact modular polynomial division")
@@ -523,26 +523,15 @@ def _trim_block(a):
     return a[..., : nz[-1] + 1 if len(nz) else 0]
 
 
-def _residue_stack(coeff_rows, primes: list[int], ps, max_len: int):
-    """a[q, i, j] = entry (i, j) mod primes[q], zero-padded to max_len.
-
-    One prime, or primes above the float64 bound, reduce in Python.  Several
-    float64 primes take one matrix product: |c| in base-256 digits times the
-    weights 256^d mod q, every sum below 2^8 q digits < 2^53 for q < 2^26
-    and fewer than 2^19 digits; a negative c then maps r to q - r."""
+def _residue_stack(coeff_rows, primes: list[int], dtype, max_len: int):
+    """a[q, i, j] = entry (i, j) mod primes[q], zero-padded to max_len."""
     n = len(coeff_rows)
     flat = [c for row in coeff_rows for e in row for c in e]
-    if len(primes) == 1 or ps.dtype == object:
-        r = np.array([[c % q for c in flat] for q in primes], dtype=ps.dtype)
-    else:
-        width = max(map(abs, flat), default=0).bit_length() // 8 + 1
-        digits = np.frombuffer(b"".join(abs(c).to_bytes(width, "little") for c in flat), np.uint8)
-        weights = np.array([[pow(256, d, q) for d in range(width)] for q in primes], dtype=ps.dtype)
-        r = _reduce(weights @ digits.reshape(len(flat), width).T, ps[:, None])
-        r = np.where(np.array([c < 0 for c in flat], dtype=bool) & (r != 0), ps[:, None] - r, r)
     lens = np.array([len(e) for row in coeff_rows for e in row])
-    a = np.zeros((len(primes), n * n, max_len), dtype=ps.dtype)
-    a[:, np.arange(max_len) < lens[:, None]] = r
+    a = np.zeros((len(primes), n * n, max_len), dtype=dtype)
+    filled = np.arange(max_len) < lens[:, None]
+    for q, r in zip(primes, a):  # one prime's residues alive at a time
+        r[filled] = [c % q for c in flat]
     return a.reshape(len(primes), n, n, max_len)
 
 
@@ -556,7 +545,8 @@ def det_mod_univariate(coeff_rows: list[list[list[int]]], p):
     (piv a[i, j] + (-a[i, 0] mod p) a[0, j]) / prev, piv = a[0, 0], both
     terms Toeplitz products over blocks of (prime, row) pairs.
     prev = x^v pv, pv(0) != 0, is inverted once per step as an x-adic
-    series; every quotient is checked by multiplying back (_divexact).  The
+    series, and the inverse is checked by multiplying back; so is the top of
+    every quotient (_divexact), which makes each division proven exact.  The
     primes of a stack share each pivot row and the valuation and length of
     each prev; a prime that would differ from the first prime in any of
     these leaves the stack and is finished by a call of its own.
@@ -578,7 +568,7 @@ def det_mod_univariate(coeff_rows: list[list[list[int]]], p):
     max_len = max(1, *(len(e) for row in coeff_rows for e in row))
     dtype = _coeff_dtype(max(primes), n, max_len)
     ps = np.array(primes, dtype=dtype)
-    a = _residue_stack(coeff_rows, primes, ps, max_len)
+    a = _residue_stack(coeff_rows, primes, dtype, max_len)
     dets: list = [None] * len(primes)
     at = np.arange(len(primes))  # position in dets of each prime of the stack
     sign, prev = 1, None  # the first step divides by 1
@@ -615,6 +605,12 @@ def det_mod_univariate(coeff_rows: list[list[list[int]]], p):
                 inv = _series_inverse(prev[0, v:], width, p)[None]
             else:
                 inv = _series_inverse(prev[:, v:], width, p4[:, 0, 0])
+            # pv inv = 1 mod x^width: with it, _divexact's top check proves
+            # every quotient of this step exact
+            unit = _reduce(_conv(inv[:, None], prev[:, v : v + width], width)[:, 0], p4[:, 0, 0])
+            unit[:, 0] -= 1
+            if unit.any():
+                raise ArithmeticError("wrong modular series inverse")
         if single:
             pairs = max(1, _BLOCK_BYTES // (8 * m * num_len))
         else:  # a numerator row and the Toeplitz block of its -a[i, 0]

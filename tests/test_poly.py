@@ -531,6 +531,24 @@ def test_mod_divexact_inexact_cases():
     ]
 
 
+def test_det_mod_rejects_a_wrong_series_inverse(monkeypatch):
+    # _divexact multiplies back only the top of each quotient, so a wrong
+    # low coefficient of the inverse must be caught where it is made
+    rows = [[[3, 1], [1, 2], [0, 1]], [[2], [1, 1, 1], [4]], [[1, 5], [2], [1, 0, 3]]]
+    assert det_mod_univariate(rows, 101) == ref_det_mod(rows, 101)
+    right = poly._series_inverse
+
+    def off_by_one(f, width, p):
+        g = right(f, width, p)
+        g[..., :1] = (g[..., :1] + 1) % p  # p is a prime or a column of primes
+        return g
+
+    monkeypatch.setattr(poly, "_series_inverse", off_by_one)
+    for primes in (101, [101, 103], [101, 2**31 - 1]):
+        with pytest.raises(ArithmeticError, match="series inverse"):
+            det_mod_univariate(rows, primes)
+
+
 def test_det_mod_quotients_shorter_than_prev():
     # step 0 leaves constants under the pivot x^3, so step 1's numerators are
     # shorter than the divisor x^3: exact only when they are all zero
