@@ -7,18 +7,18 @@ library uses: construction, +, -, *, degree_in, coeffs_in, items and JSON.
 Substitution, evaluation and powers are test oracles (tests/oracles.py).
 
 One polynomial-determinant kernel, det_mod_univariate: Bareiss over F_p[x]
-on the whole active block, for one prime or a batch of primes at once, a
-pivot step being a few Toeplitz matrix products, one x-adic series inverse
-of the previous pivot, and multiply-back checks of that inverse and of the
-top of each quotient.  While 2 p^2 n max_len < 2^53 coefficients sit in
-float64 as exact integers: every sum has nonnegative terms below 2^53, so
+on the whole active block of a stack of primes, a single prime being a stack
+of one; a pivot step is a few Toeplitz matrix products, one x-adic series
+inverse of the previous pivot, and multiply-back checks of that inverse and
+of the top of each quotient.  While 2 p^2 n max_len < 2^53 coefficients sit
+in float64 as exact integers: every sum has nonnegative terms below 2^53, so
 no BLAS partial sum rounds.  Above that, Python-int object arrays.
 
 det_interpolate, the determinant over Q of a matrix of polynomials in beta,
 is multimodular on that kernel: rows scaled to integers, the determinant mod
 primes taken downward from the float64 bound, as many as a proven
-coefficient bound needs, batched by bytes, and the Chinese remainder theorem
-in the symmetric range.  det_numeric (integer Bareiss) serves scalar
+coefficient bound needs, in one kernel call, and the Chinese remainder
+theorem in the symmetric range.  det_numeric (integer Bareiss) serves scalar
 matrices; det_minor_expansion, Laplace expansion in any symbols, is the
 tests' reference and on no library path.
 """
@@ -321,18 +321,17 @@ def det_numeric(rows: list[list[int | Fraction]]) -> Fraction:
 def det_interpolate(rows: Sequence[Sequence[GradedPoly]]) -> GradedPoly:
     """Determinant of a square matrix of polynomials in beta, over Q.
 
-    The name is kept from the evaluation/interpolation engine this replaced;
-    the method is multimodular.  Each row is scaled by the lcm of its
-    coefficient denominators.  The integer determinant D has coefficients
-    of absolute value at most prod_i sum_j ||a_ij||_1: its l1 norm is at
-    most the sum of the l1 norms of the Leibniz terms, each term's norm is
-    at most the product of its entries' norms, and expanding the product
-    over rows of the row sums of norms yields every Leibniz term.
-    det_mod_univariate takes D mod the primes of _crt_primes, a batch of
-    primes per call, until their product exceeds twice that bound; the
-    Chinese remainder theorem in the symmetric range gives D exactly, and
-    D over the product of the row scales is the determinant.  An entry in
-    any other symbol raises ValueError.
+    The name is kept from the interpolation engine this multimodular one
+    replaced.  Each row is scaled by the lcm of its coefficient denominators.
+    The integer determinant D has coefficients of absolute value at most
+    prod_i sum_j ||a_ij||_1: its l1 norm is at most the sum of the l1 norms
+    of the Leibniz terms, each term's norm is at most the product of its
+    entries' norms, and expanding the product over rows of the row sums of
+    norms yields every Leibniz term.  One det_mod_univariate call takes D
+    mod the primes of _crt_primes, until their product exceeds twice that
+    bound; the Chinese remainder theorem in the symmetric range gives D
+    exactly, and D over the product of the row scales is the determinant.
+    An entry in any other symbol raises ValueError.
     """
     denom = 1
     bound = 1
@@ -346,13 +345,9 @@ def det_interpolate(rows: Sequence[Sequence[GradedPoly]]) -> GradedPoly:
         denom *= l
         bound *= norm
         scaled_rows.append(scaled)
-    n = len(scaled_rows)
     max_len = max(len(e) for row in scaled_rows for e in row)
-    primes = _crt_primes(2 * bound, n, max_len)
-    batch = max(1, _STACK_BYTES // (8 * n * n * max_len))
-    residues = []
-    for i in range(0, len(primes), batch):
-        residues += det_mod_univariate(scaled_rows, primes[i : i + batch])
+    primes = _crt_primes(2 * bound, len(scaled_rows), max_len)
+    residues = det_mod_univariate(scaled_rows, primes)
     return poly_from_coeffs(Fraction(c, denom) for c in _crt_symmetric(residues, primes))
 
 
@@ -420,14 +415,14 @@ def _interp_nodes(ys: list[int], den: int) -> list[Fraction]:
 
 # dense univariate arithmetic over F_p on arrays of integers in [0, p)
 
-# Bytes of the blocks a pivot step takes at once: numerator rows for one
-# prime; numerator rows and their Toeplitz blocks for a batch of primes.
-# With _STACK_BYTES, the input bytes of the matrices one det_interpolate call
-# stacks, these keep the batched peak RSS near 1 MB above one-prime work.
-_BLOCK_BYTES = 1 << 16
-_BATCH_BLOCK_BYTES = 1 << 18
+# det_mod_univariate's budgets, one prime or many: _STACK_BYTES of residues
+# per stack; _STEP_BYTES per block of (prime, row) pairs of a pivot step, each
+# pair a numerator row and the Toeplitz block of its -a[i, 0].  On modcert,
+# 256 KiB kept the peak RSS of the old one-prime rule at 1.05-1.10x its time;
+# budgets that kept its time cost 0.05-0.12 MB more RSS (ROADMAP item 4).
+_STEP_BYTES = 1 << 18
 _STACK_BYTES = 1 << 17
-_CHUNK = 64  # columns per Toeplitz block
+_CHUNK = 64  # most rows of a Toeplitz block
 
 
 def _coeff_dtype(p: int, n: int, max_len: int):
@@ -448,60 +443,74 @@ def _reduce(x, p):
     return x
 
 
-def _conv(x, f, out_len: int):
-    """(x * f)[..., :out_len] along the last axis, unreduced, len(x) <= out_len.
+def _chunk(n: int) -> int:
+    """Rows of the Toeplitz block for n columns of x: even slices of <= _CHUNK."""
+    return -(-n // max(1, -(-n // _CHUNK)))
 
-    f is a vector or a stack broadcasting against x as in matmul.  One
-    Toeplitz block T[t, t + s] = f[s] of _CHUNK rows, cut from the period
-    [f, 0 * rows], serves every column slice of x; products overlap-add."""
-    n, lf, lead = x.shape[-1], f.shape[-1], f.shape[:-1]
-    c = min(n, _CHUNK)
-    w = c + lf - 1 if c < n else max(n + lf - 1, out_len)  # one block: out_len wide
-    t = np.zeros(lead + (c * (w + 1),), dtype=f.dtype)
-    t.reshape(lead + (c, w + 1))[..., :lf] = f[..., None, :]
-    t = t[..., : c * w].reshape(lead + (c, w))
-    if c == n:
-        return np.matmul(x, t[..., :out_len])
+
+def _toeplitz(f, rows: int, cols: int):
+    """(r, t): t[..., i, i + s] = f[..., s], else 0, a rows x cols view of the
+    rows r[..., i, :] = [f, 0, ...] of period cols + 1; writing r[..., s0:s1]
+    sets f[s0:s1] in every row of t while len(f) <= cols - rows + 1."""
+    lead = f.shape[:-1]
+    r = np.zeros(lead + (rows, cols + 1), dtype=f.dtype)
+    r[..., : f.shape[-1]] = f[..., None, :]
+    return r, r.reshape(lead + (-1,))[..., : rows * cols].reshape(lead + (rows, cols))
+
+
+def _tmul(x, t, lo: int, hi: int):
+    """(x * f)[..., lo:hi], unreduced, len(x) <= hi, for t from _toeplitz(f,
+    ...) broadcasting against x as in matmul: x @ t on each slice of len(t)
+    columns of x, overlap-added; with one slice, hi is at most t's columns."""
+    n, (c, cols) = x.shape[-1], t.shape[-2:]
+    if n <= c:
+        return np.matmul(x, t[..., :n, lo:hi])
     for c0 in range(0, n, c):
-        hi = min(c0 + w, out_len)
-        part = np.matmul(x[..., c0 : c0 + c], t[..., : n - c0, : hi - c0])
+        s0, s1 = max(lo - c0, 0), min(hi - c0, cols)
+        part = np.matmul(x[..., c0 : c0 + c], t[..., : n - c0, s0:s1])
         if c0 == 0:
-            out = np.zeros(part.shape[:-1] + (out_len,), dtype=part.dtype)
-        out[..., c0:hi] += part
+            out = np.zeros(part.shape[:-1] + (hi - lo,), dtype=part.dtype)
+        out[..., c0 + s0 - lo : c0 + s1 - lo] += part
     return out
 
 
-def _series_inverse(f, width: int, p):
-    """g with f * g = 1 mod (x^width, p), by Newton iteration; needs f[..., 0] != 0.
+def _conv(x, f, out_len: int):
+    """(x * f)[..., :out_len] along the last axis, unreduced, len(x) <= out_len;
+    f is a stack broadcasting against x as in matmul; one block is out_len wide."""
+    c = _chunk(x.shape[-1])
+    cols = c + f.shape[-1] - 1
+    return _tmul(x, _toeplitz(f, c, cols if c < x.shape[-1] else max(cols, out_len))[1], 0, out_len)
 
-    f is a vector and p a prime (np.convolve, one call per product), or f
-    is a stack of vectors and p the column of their primes (_conv).  With g
-    right mod x^h, f g = 1 + x^h r, and g (1 - x^h r) is right mod x^2h: each
-    doubling computes r and the new top -g r, where a multiple of p above
-    the sum g r makes the negation one reduction."""
-    g = np.zeros(f.shape[:-1] + (width,), dtype=f.dtype)
-    if f.ndim == 1:
-        g[0] = pow(int(f[0]), -1, p)
-        mul = lambda u, v, m: np.convolve(u, v)[:m]  # noqa: E731
-    else:
-        g[:, 0] = [pow(int(c), -1, int(q)) for c, q in zip(f[:, 0], p[:, 0])]
-        mul = lambda u, v, m: _conv(u[:, None], v, m)[:, 0]  # noqa: E731
-    h = 1
+
+def _series_inverse(f, width: int, p):
+    """g with f * g = 1 mod (x^width, p) for a stack f, f[:, 0] != 0, and the
+    column p of its primes, by Newton iteration from g = 1/f0 - (f1/f0^2) x:
+    with g right mod x^h, f g = 1 + x^h r and g (1 - x^h r) is right mod
+    x^2h.  g lives in the rows of its Toeplitz block (_toeplitz), so both
+    products of a doubling, -r from p - f (entries in [1, p]) and the new
+    top g (-r), are matmuls on that block, and each new half is one write."""
+    ps = [int(q) for q in np.ravel(p).tolist()]
+    g0 = [pow(int(a), -1, q) for a, q in zip(f[:, 0].tolist(), ps)]
+    f1 = f[:, 1].tolist() if f.shape[-1] > 1 else [0] * len(ps)
+    g = np.array([[a, -int(b) * a * a % q] for a, b, q in zip(g0, f1, ps)], dtype=f.dtype)
+    c = _chunk(width)
+    rows, t = _toeplitz(g[:, :width], c, width + c - 1)
+    neg_f = p - f[:, None, :width]
+    h = 2
     while h < width:
         m = min(2 * h, width)
-        r = _reduce(mul(f[..., :m], g[..., :m], m)[..., h:], p)  # g is 0 from h on
-        g[..., h:m] = _reduce((m - h) * p * p - mul(g[..., : m - h], r, m - h), p)
+        neg_r = _reduce(_tmul(neg_f[..., :m], t, h, m), p)
+        rows[..., h:m] = _reduce(_tmul(neg_r, t, 0, m - h), p)
         h = m
-    return g
+    return rows[:, 0, :width].copy()
 
 
 def _divexact(num, v: int, pv, inv, p):
-    """Exact quotients num / (x^v pv) over F_p, inv = 1/pv mod x^len(inv): the
-    truncated products q of num / x^v with inv.  pv, inv and p are one
-    vector and a prime, or stacks broadcasting against num.  q pv equals
-    num / x^v below x^len(q) when inv is right, which det_mod_univariate
-    checks once per pivot step, so multiplying back checks the top
-    len(pv) - 1 coefficients: the low ones of the product of the reversals."""
+    """Exact quotients num / (x^v pv) over F_p, inv = 1/pv mod x^len(inv), pv,
+    inv and p stacks broadcasting against num: the truncated products q of
+    num / x^v with inv.  q pv is num / x^v below x^len(q) when inv is right,
+    which det_mod_univariate checks once per step, so multiplying back checks
+    the top len(pv) - 1 coefficients: the low ones of the reversals' product."""
     qlen = num.shape[-1] - v - pv.shape[-1] + 1
     if num[..., :v].any() or (qlen < 1 and num.any()):
         raise ArithmeticError("inexact modular polynomial division")
@@ -523,52 +532,51 @@ def _trim_block(a):
     return a[..., : nz[-1] + 1 if len(nz) else 0]
 
 
-def _residue_stack(coeff_rows, primes: list[int], dtype, max_len: int):
-    """a[q, i, j] = entry (i, j) mod primes[q], zero-padded to max_len."""
-    n = len(coeff_rows)
-    flat = [c for row in coeff_rows for e in row for c in e]
-    lens = np.array([len(e) for row in coeff_rows for e in row])
-    a = np.zeros((len(primes), n * n, max_len), dtype=dtype)
-    filled = np.arange(max_len) < lens[:, None]
-    for q, r in zip(primes, a):  # one prime's residues alive at a time
-        r[filled] = [c % q for c in flat]
-    return a.reshape(len(primes), n, n, max_len)
-
-
 def det_mod_univariate(coeff_rows: list[list[list[int]]], p):
     """Determinant over F_p[x] of a matrix given as coefficient lists.
 
-    p is a prime, and the determinant comes back as a coefficient list; or p
-    is a sequence of primes, and one Bareiss runs on the stack of the
-    matrix's reductions mod each of them, giving one list per prime.
-    Fraction-free Bareiss on the whole active block a: entry (i, j) becomes
-    (piv a[i, j] + (-a[i, 0] mod p) a[0, j]) / prev, piv = a[0, 0], both
-    terms Toeplitz products over blocks of (prime, row) pairs.
-    prev = x^v pv, pv(0) != 0, is inverted once per step as an x-adic
-    series, and the inverse is checked by multiplying back; so is the top of
-    every quotient (_divexact), which makes each division proven exact.  The
-    primes of a stack share each pivot row and the valuation and length of
-    each prev; a prime that would differ from the first prime in any of
-    these leaves the stack and is finished by a call of its own.
+    p is a prime, giving a coefficient list, or a sequence of primes, giving
+    one list per prime; a prime is a stack of one.  Each stack of primes
+    (_STACK_BYTES) runs one Bareiss on the whole active block a: entry (i, j)
+    becomes (piv a[i, j] + (-a[i, 0] mod p) a[0, j]) / prev, piv = a[0, 0],
+    both terms Toeplitz products over blocks of (prime, row) pairs
+    (_STEP_BYTES).  prev = x^v pv, pv(0) != 0, is inverted once per step as
+    an x-adic series, checked by multiplying back, as is the top of every
+    quotient (_divexact): each division is proven exact.  The primes of a
+    stack share each pivot row and the valuation and length of each prev; a
+    prime that would differ is finished as a stack of its own.
 
     Coefficients are integers in [0, p), in float64 while 2 p^2 n max_len <
-    2^53 for the largest p: entries are minors of length <= n max_len and
-    quotients at most twice that, so every sum has <= 2 n max_len terms in
-    [0, p^2), every BLAS partial sum in any order is an exact integer below
-    2^53, and x - floor(x/p) p reduces it exactly.  Above the bound the same
-    code runs on Python-int object arrays.  Raises ValueError on an empty or
-    non-square matrix or no prime, TypeError on a coefficient not an int."""
+    2^53 for the largest p of a stack: entries are minors of length <= n
+    max_len and quotients at most twice that, so every sum has <= 2 n
+    max_len terms in [0, p^2), every BLAS partial sum in any order is an
+    exact integer below 2^53, and x - floor(x/p) p reduces it exactly.
+    Above the bound the same code runs on Python-int object arrays.  Raises
+    ValueError on an empty or non-square matrix or no prime, TypeError on a
+    coefficient not an int."""
     n = len(coeff_rows)
-    single = isinstance(p, int)
-    primes = [p] if single else list(map(operator.index, p))
+    primes = [p] if isinstance(p, int) else list(map(operator.index, p))
     if n == 0 or not primes or any(len(row) != n for row in coeff_rows):
         raise ValueError("det_mod_univariate needs a nonempty square matrix and a prime")
     if not all(isinstance(c, int) for row in coeff_rows for e in row for c in e):
         raise TypeError("det_mod_univariate takes int coefficients")
     max_len = max(1, *(len(e) for row in coeff_rows for e in row))
+    batch = max(1, _STACK_BYTES // (8 * n * n * max_len))
+    stacks = [primes[i : i + batch] for i in range(0, len(primes), batch)]
+    dets = [d for s in stacks for d in _det_stack(coeff_rows, s, max_len)]
+    return dets[0] if isinstance(p, int) else dets
+
+
+def _det_stack(coeff_rows: list[list[list[int]]], primes: list[int], max_len: int) -> list:
+    """det_mod_univariate on one stack of primes, its input checked."""
+    n = len(coeff_rows)
     dtype = _coeff_dtype(max(primes), n, max_len)
     ps = np.array(primes, dtype=dtype)
-    a = _residue_stack(coeff_rows, primes, dtype, max_len)
+    # a[q, i, j] = entry (i, j) mod primes[q], zero-padded to max_len
+    a = np.zeros((len(primes), n, n, max_len), dtype=dtype)
+    filled = np.arange(max_len) < np.array([len(e) for row in coeff_rows for e in row])[:, None]
+    for k, q in enumerate(primes):  # one prime's residues alive at a time
+        a[k].reshape(n * n, max_len)[filled] = [c % q for row in coeff_rows for e in row for c in e]
     dets: list = [None] * len(primes)
     at = np.arange(len(primes))  # position in dets of each prime of the stack
     sign, prev = 1, None  # the first step divides by 1
@@ -578,12 +586,11 @@ def det_mod_univariate(coeff_rows: list[list[list[int]]], p):
             # each prime's pivot row, and the valuation and length of its prev
             key = [np.where(live.any(axis=1), live.argmax(axis=1), -1)]
             if prev is not None:
-                nz = prev != 0
-                key += [nz.argmax(axis=1), nz[:, ::-1].argmax(axis=1)]
+                key += [(prev != 0).argmax(axis=1), (prev[:, ::-1] != 0).argmax(axis=1)]
             apart = np.any([k != k[0] for k in key], axis=0)
             if apart.any():
                 for i in at[apart]:
-                    dets[i] = det_mod_univariate(coeff_rows, primes[i])
+                    dets[i] = _det_stack(coeff_rows, [primes[i]], max_len)[0]
                 keep = ~apart
                 a, ps, at, live = a[keep], ps[keep], at[keep], live[keep]
                 prev = None if prev is None else _trim_block(prev[keep])
@@ -601,20 +608,14 @@ def det_mod_univariate(coeff_rows: list[list[list[int]]], p):
         if prev is not None:
             v = int(prev[0].nonzero()[0][0])
             width = max(num_len - prev.shape[-1] + 1, 1)
-            if single:
-                inv = _series_inverse(prev[0, v:], width, p)[None]
-            else:
-                inv = _series_inverse(prev[:, v:], width, p4[:, 0, 0])
+            inv = _series_inverse(prev[:, v:], width, p4[:, 0])
             # pv inv = 1 mod x^width: with it, _divexact's top check proves
             # every quotient of this step exact
             unit = _reduce(_conv(inv[:, None], prev[:, v : v + width], width)[:, 0], p4[:, 0, 0])
-            unit[:, 0] -= 1
-            if unit.any():
+            if unit[:, 1:].any() or (unit[:, 0] != 1).any():
                 raise ArithmeticError("wrong modular series inverse")
-        if single:
-            pairs = max(1, _BLOCK_BYTES // (8 * m * num_len))
-        else:  # a numerator row and the Toeplitz block of its -a[i, 0]
-            pairs = max(1, _BATCH_BLOCK_BYTES // (8 * (m + min(a.shape[-1], _CHUNK)) * num_len))
+        # a numerator row and the Toeplitz block of its -a[i, 0]
+        pairs = max(1, _STEP_BYTES // (8 * (m + _chunk(a.shape[-1])) * num_len))
         qb, rb = (pairs // m, m) if pairs >= m else (1, pairs)
         whole = qb >= len(ps) and rb >= m
         for q0 in range(0, len(ps), qb):
@@ -628,18 +629,16 @@ def det_mod_univariate(coeff_rows: list[list[list[int]]], p):
                 del num  # no block keeps its temporaries while the next one runs
                 if prev is not None:
                     q = _divexact(q, v, prev[qs, None, v:], inv[qs, None], p4[qs])
-                if whole:
-                    out = q
-                else:
-                    if q0 == i0 == 0:
-                        out = np.empty((len(ps), m, m, q.shape[-1]), dtype=a.dtype)
+                if q0 == i0 == 0:
+                    out = q if whole else np.empty((len(ps), m, m, q.shape[-1]), dtype=a.dtype)
+                if not whole:
                     out[qs, i0 : i0 + rb] = q
-                    del q
+                del q
         a, prev = _trim_block(out), piv
     for q, i in enumerate(at):
         pq, c = int(ps[q]), _trim_block(a[q, 0, 0])
         dets[i] = [int(x) if sign > 0 else int(pq - x) % pq for x in c] or [0]
-    return dets[0] if single else dets
+    return dets
 
 
 def root_multiplicity(p: GradedPoly, root: Fraction | int) -> int:

@@ -431,6 +431,50 @@ def test_det_mod_batch_pivot_vanishing_mod_one_prime():
     assert [[c % q for c in rows[0][0]] for q in (5, 7, 101)] == [[2, 2], [0, 0], [7, 7]]
 
 
+@pytest.mark.parametrize("chunk", [2, 3])
+def test_det_mod_block_splits_at_small_sizes(monkeypatch, chunk):
+    # A budget of 8 bytes makes every block of a pivot step one (prime, row)
+    # pair, and Toeplitz blocks of 2 or 3 rows make every product of more
+    # coefficients overlap-add: every row split, prime split and chunk loop
+    # then runs on 3 x 3 to 5 x 5 matrices.
+    monkeypatch.setattr(poly, "_STEP_BYTES", 8)
+    monkeypatch.setattr(poly, "_CHUNK", chunk)
+    blocks, chunked = [], []
+    divexact, tmul = poly._divexact, poly._tmul
+
+    def count_blocks(num, *args):
+        blocks.append(num.shape[:2])
+        return divexact(num, *args)
+
+    def count_chunks(x, t, lo, hi):
+        chunked.append(x.shape[-1] > t.shape[-2])
+        return tmul(x, t, lo, hi)
+
+    monkeypatch.setattr(poly, "_divexact", count_blocks)
+    monkeypatch.setattr(poly, "_tmul", count_chunks)
+    above = [2**31 - 1, 2**31 - 19]  # above the float64 bound, so Python ints
+    assert all(is_prime(q) and poly._coeff_dtype(q, 3, 2) is object for q in above)
+    rng = random.Random(chunk)
+
+    def entry():
+        return [rng.randint(-50, 50) for _ in range(rng.randint(2, 5))]
+
+    for n in (3, 4, 5):
+        rows = [[entry() for _ in range(n)] for _ in range(n)]
+        blocks.clear()
+        assert det_mod_univariate(rows, 101) == ref_det_mod(rows, 101)
+        # one block per row of every step that divides
+        assert set(blocks) == {(1, 1)} and len(blocks) == (n - 1) * (n - 2) // 2
+        for primes in ([101, 103, 107, 101], above):
+            blocks.clear()
+            assert det_mod_univariate(rows, primes) == [ref_det_mod(rows, q) for q in primes]
+            # one block per (prime, row) pair; a prime that leaves the stack
+            # runs its steps again on its own
+            assert set(blocks) == {(1, 1)}
+            assert len(blocks) >= len(primes) * (n - 1) * (n - 2) // 2
+    assert any(chunked)
+
+
 def test_crt_primes_descend_from_the_float_bound(monkeypatch):
     # the primes det_interpolate hands the kernel for P_12(1, beta, 0)
     k = 12
@@ -466,16 +510,18 @@ def test_crt_primes_descend_from_the_float_bound(monkeypatch):
 
 
 def _divide(num, den: list[int], p: int) -> list:
-    """poly._divexact on float64 arrays, set up as one pivot step does.
+    """poly._divexact on float64 arrays, set up as one pivot step does for a
+    stack of one prime.
 
     num is one coefficient list or a block of them (equal lengths).
     """
-    den = np.array(den, dtype=np.float64)
+    den = np.array([den], dtype=np.float64)
     v = int(np.flatnonzero(den)[0])
-    pv = den[v:]
+    pv, col = den[:, v:], np.full((1, 1, 1), float(p))
     num = np.array(num, dtype=np.float64)
-    inv = poly._series_inverse(pv, max(num.shape[-1] - len(den) + 1, 1), p)
-    return poly._divexact(num, v, pv, inv, p).astype(int).tolist()
+    inv = poly._series_inverse(pv, max(num.shape[-1] - den.shape[-1] + 1, 1), col)
+    q = poly._divexact(np.atleast_2d(num)[None], v, pv, inv, col)
+    return q.reshape(num.shape[:-1] + q.shape[-1:]).astype(int).tolist()
 
 
 @settings(max_examples=200, deadline=None)
@@ -495,8 +541,8 @@ def test_mod_divexact_matches_reference(p, q, pv, v, rem):
         return
     den = [0] * v + pv
     num = _ref_mul(q, den, p)
-    inv = poly._series_inverse(np.array(pv, dtype=np.float64), 8, p)
-    assert _ref_mul(pv, [int(c) for c in inv], p)[:8] == [1] + [0] * 7
+    inv = poly._series_inverse(np.array([pv], dtype=np.float64), 8, np.full((1, 1, 1), float(p)))
+    assert _ref_mul(pv, [int(c) for c in inv[0]], p)[:8] == [1] + [0] * 7
     assert _divide(num, den, p) == _ref_divexact(num, den, p) == q
     # a nonzero remainder of lower degree than den: inexact for both kernels,
     # alone and as one entry of a block whose other entry divides exactly
@@ -540,7 +586,7 @@ def test_det_mod_rejects_a_wrong_series_inverse(monkeypatch):
 
     def off_by_one(f, width, p):
         g = right(f, width, p)
-        g[..., :1] = (g[..., :1] + 1) % p  # p is a prime or a column of primes
+        g[:, :1] = (g[:, :1] + 1) % p[:, 0]  # p: the stack's primes, shape (s, 1, 1)
         return g
 
     monkeypatch.setattr(poly, "_series_inverse", off_by_one)
