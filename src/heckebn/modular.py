@@ -3,8 +3,9 @@
 For an odd prime g > 2k the scaled class w = ((g-1)! 2^{g-1})^k P_k has
 integer coefficients; M_j is the coefficient of beta^j h^{k(k+1)/2 - 2j}
 mod g.  mj_mod computes the M_j natively in F_g[beta] as the Giambelli
-determinant of the scaled reduced Chern entries, and certify_mod hands them
-to certificates.sweep_criteria, which applies
+determinant of the scaled reduced Chern entries, or, for g above the
+kernel's float64 bound, reduces P_k(1, beta, 0) mod g; certify_mod hands
+them to certificates.sweep_criteria, which applies
 
   e6.1:  M_0 + M_{(g-1)/2} + M_{g-1}        != 0 (mod g)
   e6.2:  M_{(g-1)/2 - l} + M_{g-1-l}        != 0 (mod g),  1 <= l <= e/2,
@@ -25,9 +26,9 @@ from __future__ import annotations
 from .certificates import Certificate, admissible_prime, sweep_criteria
 from .chern import tilde_mod_coeffs
 from .errors import InapplicablePrimeError
-from .giambelli import giambelli_rows
+from .giambelli import giambelli_rows, pk_beta
 from .numbers import is_prime, next_prime
-from .poly import det_mod_univariate
+from .poly import _max_prime, det_mod_univariate
 
 __all__ = [
     "find_gk",
@@ -66,9 +67,16 @@ def mj_mod(k: int, g: int) -> tuple[int, ...]:
             k, g, f"prime {g} does not exceed 2k = {2 * k}; the scaled class "
             "is not integral below that"
         )
-    u = g - 1  # (g-1)! 2^(g-1) mod g
-    hat = [[c * u % g for c in row] for row in tilde_mod_coeffs(2 * k - 1, g)]
-    m = det_mod_univariate(giambelli_rows(k, hat, [0]), g)
+    if g > _max_prime(k, k):  # the kernel's bound: entries have <= k coefficients
+        # u^k P_k with u = -1: P_k's denominators hold only 2 and primes < 2k < g
+        c = pk_beta(k).polynomial.coeffs_in("beta")
+        m = [(-1) ** k * x.numerator * pow(x.denominator, -1, g) % g for x in c]
+        while len(m) > 1 and not m[-1]:
+            m.pop()
+    else:
+        u = g - 1  # (g-1)! 2^(g-1) mod g
+        hat = [[c * u % g for c in row] for row in tilde_mod_coeffs(2 * k - 1, g)]
+        m = det_mod_univariate(giambelli_rows(k, hat, [0]), [g])[0]
     if len(m) - 1 > k * k // 4:
         raise AssertionError(
             f"M_j nonzero beyond the floor(k^2/4) degree bound at k={k}, g={g}"

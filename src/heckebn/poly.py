@@ -10,9 +10,9 @@ One polynomial-determinant kernel, det_mod_univariate: Bareiss over F_p[x]
 on the whole active block of a stack of primes, a single prime being a stack
 of one; a pivot step is a few Toeplitz matrix products, one x-adic series
 inverse of the previous pivot, and multiply-back checks of that inverse and
-of the top of each quotient.  While 2 p^2 n max_len < 2^53 coefficients sit
-in float64 as exact integers: every sum has nonnegative terms below 2^53, so
-no BLAS partial sum rounds.  Above that, Python-int object arrays.
+of the top of each quotient.  Coefficients sit in float64 as exact integers,
+for primes up to _max_prime(n, max_len): every sum has nonnegative terms
+below 2^53, so no BLAS partial sum rounds.
 
 det_interpolate, the determinant over Q of a matrix of polynomials in beta,
 is multimodular on that kernel: rows scaled to integers, the determinant mod
@@ -352,9 +352,9 @@ def det_interpolate(rows: Sequence[Sequence[GradedPoly]]) -> GradedPoly:
 
 
 def _crt_primes(bound: int, n: int, max_len: int) -> list[int]:
-    """Primes downward from the largest p with 2 p^2 n max_len < 2^53, the
-    float64 bound of det_mod_univariate, until their product exceeds bound."""
-    p = math.isqrt((2**53 - 1) // (2 * n * max_len))
+    """Primes downward from _max_prime(n, max_len), the float64 bound of
+    det_mod_univariate, until their product exceeds bound."""
+    p = _max_prime(n, max_len)
     primes, product = [], 1
     while product <= bound:
         while not is_prime(p):
@@ -425,9 +425,10 @@ _STACK_BYTES = 1 << 17
 _CHUNK = 64  # most rows of a Toeplitz block
 
 
-def _coeff_dtype(p: int, n: int, max_len: int):
-    """float64 while 2 p^2 n max_len < 2^53 (see det_mod_univariate), else ints."""
-    return np.float64 if 2 * p * p * n * max_len < 2**53 else object
+def _max_prime(n: int, max_len: int) -> int:
+    """The largest p with 2 p^2 n max_len < 2^53: det_mod_univariate's bound
+    on the primes of an n x n matrix of entries of length <= max_len."""
+    return math.isqrt((2**53 - 1) // (2 * n * max_len))
 
 
 def _reduce(x, p):
@@ -436,8 +437,6 @@ def _reduce(x, p):
     x / p lies d/p below k + 1 (d = p - j >= 1), and half the float spacing
     below k + 1 is under (k + 1) 2^-53 = (x + d) / (p 2^53) <= d/p: x / p
     rounds to no integer above k, so floor(x / p) is exact."""
-    if x.dtype == object:
-        return x % p
     q = x / p
     x -= np.multiply(np.floor(q, out=q), p, out=q)
     return x
@@ -532,68 +531,59 @@ def _trim_block(a):
     return a[..., : nz[-1] + 1 if len(nz) else 0]
 
 
-def det_mod_univariate(coeff_rows: list[list[list[int]]], p):
-    """Determinant over F_p[x] of a matrix given as coefficient lists.
+def det_mod_univariate(coeff_rows: list[list[list[int]]], primes: Sequence[int]) -> list[list[int]]:
+    """Determinant over F_p[x] of a matrix given as coefficient lists, one
+    coefficient list per prime p of the sequence primes.
 
-    p is a prime, giving a coefficient list, or a sequence of primes, giving
-    one list per prime; a prime is a stack of one.  Each stack of primes
-    (_STACK_BYTES) runs one Bareiss on the whole active block a: entry (i, j)
-    becomes (piv a[i, j] + (-a[i, 0] mod p) a[0, j]) / prev, piv = a[0, 0],
-    both terms Toeplitz products over blocks of (prime, row) pairs
-    (_STEP_BYTES).  prev = x^v pv, pv(0) != 0, is inverted once per step as
-    an x-adic series, checked by multiplying back, as is the top of every
-    quotient (_divexact): each division is proven exact.  The primes of a
-    stack share each pivot row and the valuation and length of each prev; a
-    prime that would differ is finished as a stack of its own.
+    Each stack of primes (_STACK_BYTES) runs one Bareiss on the whole active
+    block a: entry (i, j) becomes (piv a[i, j] + (-a[i, 0] mod p) a[0, j]) /
+    prev, piv = a[0, 0], both terms Toeplitz products over blocks of (prime,
+    row) pairs (_STEP_BYTES).  prev = x^v pv, pv(0) != 0, is inverted once
+    per step as an x-adic series, checked by multiplying back, as is the top
+    of every quotient (_divexact): each division is proven exact.  The primes
+    of a stack share each pivot row and the valuation and length of each
+    prev; a stack whose primes would differ runs again prime by prime.
 
-    Coefficients are integers in [0, p), in float64 while 2 p^2 n max_len <
-    2^53 for the largest p of a stack: entries are minors of length <= n
-    max_len and quotients at most twice that, so every sum has <= 2 n
-    max_len terms in [0, p^2), every BLAS partial sum in any order is an
-    exact integer below 2^53, and x - floor(x/p) p reduces it exactly.
-    Above the bound the same code runs on Python-int object arrays.  Raises
-    ValueError on an empty or non-square matrix or no prime, TypeError on a
-    coefficient not an int."""
+    Coefficients are integers in [0, p), in float64, for p <= _max_prime(n,
+    max_len): entries are minors of length <= n max_len and quotients at
+    most twice that, so every sum has <= 2 n max_len terms in [0, p^2), every
+    BLAS partial sum in any order is an exact integer below 2^53, and x -
+    floor(x/p) p reduces it exactly.  Raises ValueError on an empty or
+    non-square matrix, no prime or a prime above that bound, TypeError on a
+    coefficient not an int or primes not a sequence of ints."""
     n = len(coeff_rows)
-    primes = [p] if isinstance(p, int) else list(map(operator.index, p))
+    primes = list(map(operator.index, primes))
     if n == 0 or not primes or any(len(row) != n for row in coeff_rows):
         raise ValueError("det_mod_univariate needs a nonempty square matrix and a prime")
     if not all(isinstance(c, int) for row in coeff_rows for e in row for c in e):
         raise TypeError("det_mod_univariate takes int coefficients")
     max_len = max(1, *(len(e) for row in coeff_rows for e in row))
+    if max(primes) > _max_prime(n, max_len):
+        raise ValueError(f"a prime above the float64 bound {_max_prime(n, max_len)}")
     batch = max(1, _STACK_BYTES // (8 * n * n * max_len))
     stacks = [primes[i : i + batch] for i in range(0, len(primes), batch)]
-    dets = [d for s in stacks for d in _det_stack(coeff_rows, s, max_len)]
-    return dets[0] if isinstance(p, int) else dets
+    return [d for s in stacks for d in _det_stack(coeff_rows, s, max_len)]
 
 
 def _det_stack(coeff_rows: list[list[list[int]]], primes: list[int], max_len: int) -> list:
     """det_mod_univariate on one stack of primes, its input checked."""
     n = len(coeff_rows)
-    dtype = _coeff_dtype(max(primes), n, max_len)
-    ps = np.array(primes, dtype=dtype)
+    p4 = np.array(primes, dtype=np.float64)[:, None, None, None]
     # a[q, i, j] = entry (i, j) mod primes[q], zero-padded to max_len
-    a = np.zeros((len(primes), n, n, max_len), dtype=dtype)
+    a = np.zeros((len(primes), n, n, max_len))
     filled = np.arange(max_len) < np.array([len(e) for row in coeff_rows for e in row])[:, None]
     for k, q in enumerate(primes):  # one prime's residues alive at a time
         a[k].reshape(n * n, max_len)[filled] = [c % q for row in coeff_rows for e in row for c in e]
-    dets: list = [None] * len(primes)
-    at = np.arange(len(primes))  # position in dets of each prime of the stack
     sign, prev = 1, None  # the first step divides by 1
     for m in range(n - 1, 0, -1):
         live = (a[:, :, 0] != 0).any(axis=-1)
-        if len(ps) > 1:
+        if len(primes) > 1:
             # each prime's pivot row, and the valuation and length of its prev
             key = [np.where(live.any(axis=1), live.argmax(axis=1), -1)]
             if prev is not None:
                 key += [(prev != 0).argmax(axis=1), (prev[:, ::-1] != 0).argmax(axis=1)]
-            apart = np.any([k != k[0] for k in key], axis=0)
-            if apart.any():
-                for i in at[apart]:
-                    dets[i] = _det_stack(coeff_rows, [primes[i]], max_len)[0]
-                keep = ~apart
-                a, ps, at, live = a[keep], ps[keep], at[keep], live[keep]
-                prev = None if prev is None else _trim_block(prev[keep])
+            if any((k != k[0]).any() for k in key):
+                return [d for q in primes for d in _det_stack(coeff_rows, [q], max_len)]
         if not live[0, 0]:
             if not live[0].any():
                 a = a[:, :1, :1, :0]  # a zero first column: every determinant is 0
@@ -601,7 +591,6 @@ def _det_stack(coeff_rows: list[list[list[int]]], primes: list[int], max_len: in
             i = int(live[0].nonzero()[0][0])
             a[:, [0, i]] = a[:, [i, 0]]
             sign = -sign
-        p4 = ps[:, None, None, None]
         piv = _trim_block(a[:, 0, 0]).copy()  # a copy, so prev does not keep `a`
         negc = _trim_block(np.where(a[:, 1:, 0], p4[..., 0] - a[:, 1:, 0], 0))
         num_len = a.shape[-1] + max(piv.shape[-1], negc.shape[-1]) - 1
@@ -617,8 +606,8 @@ def _det_stack(coeff_rows: list[list[list[int]]], primes: list[int], max_len: in
         # a numerator row and the Toeplitz block of its -a[i, 0]
         pairs = max(1, _STEP_BYTES // (8 * (m + _chunk(a.shape[-1])) * num_len))
         qb, rb = (pairs // m, m) if pairs >= m else (1, pairs)
-        whole = qb >= len(ps) and rb >= m
-        for q0 in range(0, len(ps), qb):
+        whole = qb >= len(primes) and rb >= m
+        for q0 in range(0, len(primes), qb):
             qs = slice(q0, q0 + qb)
             for i0 in range(0, m, rb):
                 # the -a[i, 0] term first: its Toeplitz stack is freed before
@@ -630,15 +619,13 @@ def _det_stack(coeff_rows: list[list[list[int]]], primes: list[int], max_len: in
                 if prev is not None:
                     q = _divexact(q, v, prev[qs, None, v:], inv[qs, None], p4[qs])
                 if q0 == i0 == 0:
-                    out = q if whole else np.empty((len(ps), m, m, q.shape[-1]), dtype=a.dtype)
+                    out = q if whole else np.empty((len(primes), m, m, q.shape[-1]), dtype=a.dtype)
                 if not whole:
                     out[qs, i0 : i0 + rb] = q
                 del q
         a, prev = _trim_block(out), piv
-    for q, i in enumerate(at):
-        pq, c = int(ps[q]), _trim_block(a[q, 0, 0])
-        dets[i] = [int(x) if sign > 0 else int(pq - x) % pq for x in c] or [0]
-    return dets
+    dets = [_trim_block(a[i, 0, 0]).tolist() for i in range(len(primes))]
+    return [[int(sign * c) % q for c in d] or [0] for d, q in zip(dets, primes)]
 
 
 def root_multiplicity(p: GradedPoly, root: Fraction | int) -> int:

@@ -10,7 +10,7 @@ h^2 = alpha h - (alpha^2 - beta)/4 against the library's binomial closed
 form for the h-coefficient, von Staudt-Clausen against the Bernoulli table,
 and so on.  The polynomial algebra that only tests need, substitution,
 evaluation and powers of a GradedPoly, lives here too, and so do the prime
-walks that the closed-form prime finders replaced.
+finders' references, read off a sieve of Eratosthenes.
 """
 
 from __future__ import annotations
@@ -39,23 +39,37 @@ def reduce_mod(coeffs: list, g: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# primes by walking up from 3
+# primes off a sieve of Eratosthenes
+
+
+@functools.cache
+def _sieve(n: int) -> bytes:
+    """s[m] == 1 iff m is prime, for 0 <= m < n: the sieve of Eratosthenes."""
+    s = bytearray([1]) * n
+    s[:2] = bytes(2)
+    for p in range(2, math.isqrt(n - 1) + 1):
+        if s[p]:
+            s[p * p :: p] = bytes(len(range(p * p, n, p)))
+    return bytes(s)
+
+
+def _first_odd_prime_from(lo: int) -> int:
+    """The smallest odd prime >= lo, off the sieve to the power of two above
+    2 lo: by Bertrand's postulate a prime lies in [lo, 2 lo)."""
+    lo = max(lo, 3)
+    return _sieve(1 << (2 * lo).bit_length()).index(1, lo)
 
 
 def find_gk_by_walk(k: int) -> int:
-    """Smallest odd prime g with 4(g - 1) >= k(k-1), one prime at a time."""
-    g = 3
-    while 4 * (g - 1) < k * (k - 1):
-        g = next_prime(g)
-    return g
+    """Smallest odd prime g with 4(g - 1) >= k(k-1): the first sieved prime
+    at or above 1 + ceil(k(k-1)/4)."""
+    return _first_odd_prime_from(1 - (-k * (k - 1) // 4))
 
 
 def find_gpk_by_walk(k: int) -> int:
-    """Smallest odd prime g with 6(g - 1) >= k(k+1), one prime at a time."""
-    g = 3
-    while 6 * (g - 1) < k * (k + 1):
-        g = next_prime(g)
-    return g
+    """Smallest odd prime g with 6(g - 1) >= k(k+1): the first sieved prime
+    at or above 1 + ceil(k(k+1)/6)."""
+    return _first_odd_prime_from(1 - (-k * (k + 1) // 6))
 
 
 def valid_primes_above(k: int, count: int = 2) -> list[int]:

@@ -13,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heckebn import poly
-from heckebn.chern import chern_tilde
+from heckebn.chern import chern_tilde, tilde_mod_coeffs
 from heckebn.giambelli import giambelli_rows
-from heckebn.numbers import is_prime
+from heckebn.modular import mj_mod
+from heckebn.numbers import is_prime, next_prime
 from heckebn.poly import (
     ALPHA,
     BETA,
@@ -344,6 +345,16 @@ def ref_det_mod(coeff_rows: list[list[list[int]]], p: int) -> list[int]:
     return out if out else [0]
 
 
+def test_mj_mod_above_the_float_bound_matches_reference():
+    # above the kernel's float64 bound mj_mod reduces P_k(1, beta, 0) mod g;
+    # the list kernel takes the u-scaled Giambelli rows at the same prime
+    for k in range(1, 13):
+        for g in (next_prime(poly._max_prime(k, k)), 33554467):
+            u = g - 1  # (g-1)! 2^(g-1) mod g
+            hat = [[c * u % g for c in row] for row in tilde_mod_coeffs(2 * k - 1, g)]
+            assert list(mj_mod(k, g)) == ref_det_mod(giambelli_rows(k, hat, [0]), g), (k, g)
+
+
 def _integer_matrix(coeff_rows) -> list[list[GradedPoly]]:
     return [[poly_from_coeffs(e) for e in row] for row in coeff_rows]
 
@@ -386,7 +397,7 @@ def mod_matrices(draw):
 @given(mod_matrices())
 def test_det_mod_matches_reference_kernels(case):
     p, rows = case
-    got = det_mod_univariate(rows, p)
+    [got] = det_mod_univariate(rows, [p])
     assert got == ref_det_mod(rows, p)
     assert _ref_trim(got) == _rational_det_mod(rows, p)
 
@@ -416,18 +427,32 @@ def mod_batches(draw):
 @given(mod_batches())
 def test_det_mod_prime_batch_matches_single_primes(case):
     primes, rows = case
-    assert det_mod_univariate(rows, primes) == [det_mod_univariate(rows, q) for q in primes]
+    assert det_mod_univariate(rows, primes) == [det_mod_univariate(rows, [q])[0] for q in primes]
 
 
-def test_det_mod_batch_pivot_vanishing_mod_one_prime():
+def test_det_mod_batch_pivot_vanishing_mod_one_prime(monkeypatch):
     # entry (0, 0) is 7 (x + 1): 0 mod 7 only, so 7 alone needs a row swap in
-    # the first step; 2^31 - 1 is above the float64 bound, so the stack runs
-    # on Python ints
+    # the first step, and a stack holding 7 runs again prime by prime; 5 and
+    # 101 part in the second step
     rows = [[[7, 7], [1], [2, 1]], [[1, 1], [3], [0, 1]], [[2], [1, 4], [5]]]
-    for primes in ([5, 7, 101], [7, 5], [101, 7, 7, 1009], [7, 2**31 - 1]):
+    runs = []
+    det_stack = poly._det_stack
+
+    def count_runs(coeff_rows, primes, max_len):
+        runs.append(list(primes))
+        return det_stack(coeff_rows, primes, max_len)
+
+    monkeypatch.setattr(poly, "_det_stack", count_runs)
+    for primes in ([5, 7, 101], [7, 5], [101, 7, 7, 1009], [5, 101]):
         want = [ref_det_mod(rows, q) for q in primes]
+        runs.clear()
         assert det_mod_univariate(rows, primes) == want
-        assert [det_mod_univariate(rows, q) for q in primes] == want
+        assert runs == [primes] + [[q] for q in primes]
+        assert [det_mod_univariate(rows, [q])[0] for q in primes] == want
+    runs.clear()
+    primes = [101, 103, 1009]
+    assert det_mod_univariate(rows, primes) == [ref_det_mod(rows, q) for q in primes]
+    assert runs == [primes]
     assert [[c % q for c in rows[0][0]] for q in (5, 7, 101)] == [[2, 2], [0, 0], [7, 7]]
 
 
@@ -452,8 +477,6 @@ def test_det_mod_block_splits_at_small_sizes(monkeypatch, chunk):
 
     monkeypatch.setattr(poly, "_divexact", count_blocks)
     monkeypatch.setattr(poly, "_tmul", count_chunks)
-    above = [2**31 - 1, 2**31 - 19]  # above the float64 bound, so Python ints
-    assert all(is_prime(q) and poly._coeff_dtype(q, 3, 2) is object for q in above)
     rng = random.Random(chunk)
 
     def entry():
@@ -462,16 +485,16 @@ def test_det_mod_block_splits_at_small_sizes(monkeypatch, chunk):
     for n in (3, 4, 5):
         rows = [[entry() for _ in range(n)] for _ in range(n)]
         blocks.clear()
-        assert det_mod_univariate(rows, 101) == ref_det_mod(rows, 101)
+        assert det_mod_univariate(rows, [101]) == [ref_det_mod(rows, 101)]
         # one block per row of every step that divides
         assert set(blocks) == {(1, 1)} and len(blocks) == (n - 1) * (n - 2) // 2
-        for primes in ([101, 103, 107, 101], above):
-            blocks.clear()
-            assert det_mod_univariate(rows, primes) == [ref_det_mod(rows, q) for q in primes]
-            # one block per (prime, row) pair; a prime that leaves the stack
-            # runs its steps again on its own
-            assert set(blocks) == {(1, 1)}
-            assert len(blocks) >= len(primes) * (n - 1) * (n - 2) // 2
+        primes = [101, 103, 107, 101]
+        blocks.clear()
+        assert det_mod_univariate(rows, primes) == [ref_det_mod(rows, q) for q in primes]
+        # one block per (prime, row) pair; a stack whose primes diverge runs
+        # its steps again prime by prime
+        assert set(blocks) == {(1, 1)}
+        assert len(blocks) >= len(primes) * (n - 1) * (n - 2) // 2
     assert any(chunked)
 
 
@@ -581,7 +604,7 @@ def test_det_mod_rejects_a_wrong_series_inverse(monkeypatch):
     # _divexact multiplies back only the top of each quotient, so a wrong
     # low coefficient of the inverse must be caught where it is made
     rows = [[[3, 1], [1, 2], [0, 1]], [[2], [1, 1, 1], [4]], [[1, 5], [2], [1, 0, 3]]]
-    assert det_mod_univariate(rows, 101) == ref_det_mod(rows, 101)
+    assert det_mod_univariate(rows, [101]) == [ref_det_mod(rows, 101)]
     right = poly._series_inverse
 
     def off_by_one(f, width, p):
@@ -590,7 +613,7 @@ def test_det_mod_rejects_a_wrong_series_inverse(monkeypatch):
         return g
 
     monkeypatch.setattr(poly, "_series_inverse", off_by_one)
-    for primes in (101, [101, 103], [101, 2**31 - 1]):
+    for primes in ([101], [101, 103]):
         with pytest.raises(ArithmeticError, match="series inverse"):
             det_mod_univariate(rows, primes)
 
@@ -601,7 +624,7 @@ def test_det_mod_quotients_shorter_than_prev():
     top = [[[0, 0, 0, 1], [1], []], [[1, 0, 0, 1], [1], []]]
     for last in ([[], [], []], [[], [], [1]], [[2], [], [1, 1]]):
         rows = top + [last]
-        assert det_mod_univariate(rows, 7) == ref_det_mod(rows, 7)
+        assert det_mod_univariate(rows, [7]) == [ref_det_mod(rows, 7)]
 
 
 def test_det_mod_dense_matches_minor():
@@ -613,34 +636,26 @@ def test_det_mod_dense_matches_minor():
                 for _ in range(3)
             ]
             minor = det_minor_expansion(_integer_matrix(rows)).coeffs_in("beta")
-            got = _ref_trim(det_mod_univariate(rows, p))
+            got = _ref_trim(det_mod_univariate(rows, [p])[0])
             assert got == _ref_trim(reduce_mod(minor, p)) == _ref_trim(ref_det_mod(rows, p))
 
 
 def test_det_mod_python_fallback_path():
-    # float64 arrays exactly while 2 p^2 n max_len < 2^53, Python ints above;
-    # each case sits just below or just above that bound, with entries near p
-    below_2x2 = 33554393  # largest prime with 2 p^2 * 2 * 2 < 2^53
-    above_2x2 = 33554467  # smallest prime above it
-    below_3x3 = 22369601  # largest prime with 2 p^2 * 3 * 3 < 2^53
-    above_3x3 = 22369661
-    cases = [
-        (below_2x2, 2, 2, np.float64),
-        (above_2x2, 2, 2, object),
-        (below_3x3, 3, 3, np.float64),
-        (above_3x3, 3, 3, object),
-        (2**31 - 1, 2, 2, object),
-    ]
+    # float64 arrays are exact while 2 p^2 n max_len < 2^53; each case is the
+    # largest prime below that bound, with entries near p (the primes above
+    # it are rejected: test_det_mod_rejects_malformed_matrices)
+    cases = [(33554393, 2, 2), (22369601, 3, 3)]
     rng = random.Random(2**31 - 1)
-    for p, n, max_len, dtype in cases:
-        assert (2 * p * p * n * max_len < 2**53) == (dtype is np.float64)
-        assert poly._coeff_dtype(p, n, max_len) is dtype
+    for p, n, max_len in cases:
+        top = poly._max_prime(n, max_len)
+        assert 2 * top * top * n * max_len < 2**53 <= 2 * (top + 1) ** 2 * n * max_len
+        assert is_prime(p) and p <= top < next_prime(p)
         for _ in range(3):
             rows = [
                 [[p - rng.randint(1, 50) for _ in range(max_len)] for _ in range(n)]
                 for _ in range(n)
             ]
-            got = _ref_trim(det_mod_univariate(rows, p))
+            got = _ref_trim(det_mod_univariate(rows, [p])[0])
             assert got == _rational_det_mod(rows, p) == _ref_trim(ref_det_mod(rows, p))
 
 
@@ -652,22 +667,31 @@ def test_det_mod_python_fallback_path():
 def test_float_reduction_is_exact(x, p):
     # x - floor(x/p) p on float64 for every integer 0 <= x < 2^53
     assert poly._reduce(np.array([float(x)]), p).tolist() == [x % p]
-    assert poly._reduce(np.array([x], dtype=object), p).tolist() == [x % p]
 
 
 def test_det_mod_rejects_malformed_matrices():
     with pytest.raises(ValueError):
-        det_mod_univariate([], 5)
+        det_mod_univariate([], [5])
     with pytest.raises(ValueError):
-        det_mod_univariate([[[1], [2]]], 5)
+        det_mod_univariate([[[1], [2]]], [5])
     with pytest.raises(ValueError):
-        det_mod_univariate([[[1], [2]], [[3]]], 5)
+        det_mod_univariate([[[1], [2]], [[3]]], [5])
     with pytest.raises(ValueError):
         det_mod_univariate([[[1]]], [])
     with pytest.raises(TypeError):
-        det_mod_univariate([[[1.5]]], 5)
+        det_mod_univariate([[[1.5]]], [5])
     with pytest.raises(TypeError):
-        det_mod_univariate([[[1], [2]], [[3], [4, Fraction(1, 2)]]], 5)
+        det_mod_univariate([[[1], [2]], [[3], [4, Fraction(1, 2)]]], [5])
+    with pytest.raises(TypeError):
+        det_mod_univariate([[[1]]], 5)  # a prime is passed as [5]
+    # primes above the float64 bound: the smallest primes above it for 2 x 2
+    # and 3 x 3 matrices of entries of length 2 and 3, and 2^31 - 1
+    for p, n, max_len in ((33554467, 2, 2), (22369661, 3, 3), (2**31 - 1, 2, 2)):
+        assert is_prime(p) and 2 * p * p * n * max_len >= 2**53
+        rows = [[[p - 1] * max_len for _ in range(n)] for _ in range(n)]
+        for primes in ([p], [101, p]):
+            with pytest.raises(ValueError, match="float64 bound"):
+                det_mod_univariate(rows, primes)
 
 
 def test_det_numeric():
