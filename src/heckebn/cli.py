@@ -105,11 +105,12 @@ def _cmd_thaddeus(args) -> int:
 
 
 def _cmd_mod_cert(args) -> int:
-    cert = certify_mod(args.k, g=args.prime)
+    store = Store()
+    cert = certify_mod(args.k, g=args.prime, store=store)
     if cert is None:
         _print_json({"status": "inconclusive", "k": args.k})
         return 0
-    Store().put_certificate(cert)
+    store.put_certificate(cert)
     _print_json(cert.to_json_obj())
     return 0
 

@@ -4,11 +4,16 @@ P_k is the k x k determinant with entry(i, j) = c_{k - 2(i-1) + (j-1)}
 (1-based), where c is the Chern sequence, c_0 = 2 and c_{<0} = 0.  One row
 builder, giambelli_rows, lays out that matrix for every coefficient domain:
 polynomials in beta at h = 1 and a fixed gamma, rationals at a point
-(pk_eval), and coefficient lists over F_g (modular.mj_mod).
+(pk_eval), and coefficient lists over F_g (modular.mj_mod).  It reverses
+the rows and the columns, entry(i, j) = c_{2i - j + 1} (0-based): one
+permutation of both leaves the determinant unchanged, and the layout free
+of k.  The leading k' x k' block is the matrix of P_{k'}, so the pivots of
+Bareiss elimination, the leading principal minors, are P_1, ..., P_k.
 
 Both rational forms come from one engine.  The slice P_k(1, beta, gamma0) is
 det_interpolate of its rows, a multimodular determinant on the prime-field
-kernel poly.det_mod_univariate; variant "beta" is the slice at gamma0 = 0.
+kernel poly.det_mod_univariate; variant "beta" is the slice at gamma0 = 0,
+and one pk_beta(k) fills the memo for every k' <= k from those minors.
 No alpha occurs, so P_k is weighted homogeneous of weight W = k(k+1)/2 in h,
 beta, gamma (weights 1, 2, 3): variant "full" interpolates the slices at
 gamma0 = 0..floor(W/3) in gamma and restores h^(W - 2n - 3p).
@@ -93,15 +98,15 @@ class PkRecord:
 
 
 def giambelli_rows(k: int, c: list, zero) -> list[list]:
-    """Rows of the k x k Giambelli matrix, entry(i, j) = c[k - 2i + j] (0-based).
+    """Rows of the k x k Giambelli matrix, entry(i, j) = c[2i - j + 1] (0-based).
 
     c holds c_0 .. c_{2k-1} in any coefficient domain; negative indices give
-    `zero`.
+    `zero`.  The leading k' x k' block is giambelli_rows(k', c, zero).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     return [
-        [c[k - 2 * i + j] if k - 2 * i + j >= 0 else zero for j in range(k)]
+        [c[2 * i - j + 1] if 2 * i - j + 1 >= 0 else zero for j in range(k)]
         for i in range(k)
     ]
 
@@ -136,33 +141,38 @@ def _pk_cached(k: int, variant: str, store) -> PkRecord:
                 _MEMO[(k, variant)] = rec
             return rec
     if variant == "full":
-        poly, algorithm = _pk_trivariate(k), "evaluate-interpolate"
+        found = {k: _pk_trivariate(k)}
     else:
-        poly = _pk_slice(k, 0)
-        # P_1(1, beta, 0) = c_1 = 1 is a constant 1 x 1 determinant
-        algorithm = "numeric" if k == 1 else "evaluate-interpolate"
-    rec = PkRecord(k, variant, poly, algorithm)
+        # P_k's kernel run yields every P_r, r < k, too: keep those not yet memoized
+        with _lock:
+            orders = [r for r in range(1, k + 1) if (r, variant) not in _MEMO]
+        found = dict(zip(orders, _pk_slice(k, 0, orders)))
     with _lock:
-        _MEMO[(k, variant)] = rec
+        for r, poly in found.items():
+            # P_1(1, beta, 0) = c_1 = 1 is a constant 1 x 1 determinant
+            algorithm = "numeric" if (r, variant) == (1, "beta") else "evaluate-interpolate"
+            _MEMO.setdefault((r, variant), PkRecord(r, variant, poly, algorithm))
+        rec = _MEMO[(k, variant)]
     if store is not None:
         store.put_pk_record(rec)
     return rec
 
 
-def _pk_slice(k: int, gamma0: int) -> GradedPoly:
-    """P_k(1, beta, gamma0) as a polynomial in beta; gamma0 = 0 reads chern_tilde."""
+def _pk_slice(k: int, gamma0: int, orders: list[int]) -> list[GradedPoly]:
+    """P_r(1, beta, gamma0) for r in orders (each <= k) as polynomials in beta,
+    the leading minors of P_k's rows; gamma0 = 0 reads chern_tilde."""
     if gamma0 == 0:
         c = [chern_tilde(n) for n in range(2 * k)]
     else:
         c = _chern_sequence([GradedPoly.one()], 2 * k - 1, 1, BETA, gamma0)
         c[0] = GradedPoly.constant(2)
-    return det_interpolate(giambelli_rows(k, c, GradedPoly.zero()))
+    return det_interpolate(giambelli_rows(k, c, GradedPoly.zero()), orders)
 
 
 def _pk_trivariate(k: int) -> GradedPoly:
     """P_k(h, beta, gamma) from its slices at gamma0 = 0..floor(W/3)."""
     w = k * (k + 1) // 2
-    slices = [_pk_slice(k, g0).coeffs_in("beta") for g0 in range(w // 3 + 1)]
+    slices = [_pk_slice(k, g0, [k])[0].coeffs_in("beta") for g0 in range(w // 3 + 1)]
     terms = {}
     for n in range(max(map(len, slices))):
         ys = [s[n] if n < len(s) else Fraction(0) for s in slices]

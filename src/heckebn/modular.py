@@ -53,10 +53,11 @@ def find_gpk(k: int) -> int:
     return next_prime(max(-(-k * (k + 1) // 6), 2))
 
 
-def mj_mod(k: int, g: int) -> tuple[int, ...]:
+def mj_mod(k: int, g: int, store=None) -> tuple[int, ...]:
     """Residues (M_0, M_1, ...) mod g via the Giambelli determinant over F_g[beta].
 
-    The tuple ends at the last nonzero M_j, or is (0,) when all vanish.
+    The tuple ends at the last nonzero M_j, or is (0,) when all vanish.  Above
+    the kernel's float64 bound, P_k(1, beta, 0) comes from pk_beta(k, store).
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -69,14 +70,14 @@ def mj_mod(k: int, g: int) -> tuple[int, ...]:
         )
     if g > _max_prime(k, k):  # the kernel's bound: entries have <= k coefficients
         # u^k P_k with u = -1: P_k's denominators hold only 2 and primes < 2k < g
-        c = pk_beta(k).polynomial.coeffs_in("beta")
+        c = pk_beta(k, store).polynomial.coeffs_in("beta")
         m = [(-1) ** k * x.numerator * pow(x.denominator, -1, g) % g for x in c]
         while len(m) > 1 and not m[-1]:
             m.pop()
     else:
         u = g - 1  # (g-1)! 2^(g-1) mod g
         hat = [[c * u % g for c in row] for row in tilde_mod_coeffs(2 * k - 1, g)]
-        m = det_mod_univariate(giambelli_rows(k, hat, [0]), [g])[0]
+        m = det_mod_univariate(giambelli_rows(k, hat, [0]), [g])[0][-1]
     if len(m) - 1 > k * k // 4:
         raise AssertionError(
             f"M_j nonzero beyond the floor(k^2/4) degree bound at k={k}, g={g}"
@@ -84,8 +85,8 @@ def mj_mod(k: int, g: int) -> tuple[int, ...]:
     return tuple(m)
 
 
-def certify_mod(k: int, g: int | None = None) -> Certificate | None:
-    """Sweep the criteria at one prime, by default find_gpk(k).
+def certify_mod(k: int, g: int | None = None, store=None) -> Certificate | None:
+    """Sweep the criteria at one prime, by default find_gpk(k); store as in mj_mod.
 
     A prime where Theorem 6.1 does not apply raises InapplicablePrimeError;
     a g that is not an odd prime raises ValueError.  Returns None when every
@@ -100,7 +101,7 @@ def certify_mod(k: int, g: int | None = None) -> Certificate | None:
             k, g, f"Theorem 6.1 needs g > 2k = {2 * k} and 3g - 3 >= "
             f"k(k+1)/2 = {k * (k + 1) // 2}"
         )
-    return sweep_criteria(k, g, mj_mod(k, g))
+    return sweep_criteria(k, g, mj_mod(k, g, store))
 
 
 def theorem43_gate(g: int, k: int) -> bool:

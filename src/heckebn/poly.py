@@ -14,17 +14,20 @@ of the top of each quotient.  Coefficients sit in float64 as exact integers,
 for primes up to _max_prime(n, max_len): every sum has nonnegative terms
 below 2^53, so no BLAS partial sum rounds.
 
-det_interpolate, the determinant over Q of a matrix of polynomials in beta,
-is multimodular on that kernel: rows scaled to integers, the determinant mod
-primes taken downward from the float64 bound, as many as a proven
-coefficient bound needs, in one kernel call, and the Chinese remainder
-theorem in the symmetric range.  det_numeric (integer Bareiss) serves scalar
-matrices; det_minor_expansion, Laplace expansion in any symbols, is the
-tests' reference and on no library path.
+The kernel returns its pivots, which up to the first row swap are the
+leading principal minors, and the determinant.  det_interpolate, those
+minors over Q of a matrix of polynomials in beta, is multimodular on it:
+rows scaled to integers, the minors mod primes taken downward from the
+float64 bound, as many as a proven coefficient bound needs, in one kernel
+call, and the Chinese remainder theorem in the symmetric range.  det_numeric
+(integer Bareiss) serves scalar matrices; det_minor_expansion, Laplace
+expansion in any symbols, is the tests' reference and on no library path.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -318,37 +321,49 @@ def det_numeric(rows: list[list[int | Fraction]]) -> Fraction:
     return Fraction(_det_bareiss_int(int_rows), factor)
 
 
-def det_interpolate(rows: Sequence[Sequence[GradedPoly]]) -> GradedPoly:
-    """Determinant of a square matrix of polynomials in beta, over Q.
+def det_interpolate(rows: Sequence[Sequence[GradedPoly]], orders=None) -> list[GradedPoly]:
+    """Leading principal minors of a square matrix of polynomials in beta,
+    over Q, of the given orders (default 1..n; order n is the determinant).
 
     The name is kept from the interpolation engine this multimodular one
-    replaced.  Each row is scaled by the lcm of its coefficient denominators.
-    The integer determinant D has coefficients of absolute value at most
-    prod_i sum_j ||a_ij||_1: its l1 norm is at most the sum of the l1 norms
-    of the Leibniz terms, each term's norm is at most the product of its
-    entries' norms, and expanding the product over rows of the row sums of
-    norms yields every Leibniz term.  One det_mod_univariate call takes D
-    mod the primes of _crt_primes, until their product exceeds twice that
-    bound; the Chinese remainder theorem in the symmetric range gives D
-    exactly, and D over the product of the row scales is the determinant.
-    An entry in any other symbol raises ValueError.
+    replaced.  Each row is scaled by the lcm l_i of its coefficient
+    denominators.  The integer minor D_r of order r has coefficients of
+    absolute value at most prod_{i<r} sum_{j<r} ||a_ij||_1: its l1 norm is
+    at most the sum of the l1 norms of the Leibniz terms, each term's norm is
+    at most the product of its entries' norms, and expanding the product
+    over rows of the row sums of norms yields every Leibniz term.  One
+    det_mod_univariate call takes every D_r mod the primes of _crt_primes,
+    until their product exceeds twice the largest bound; for each order the
+    Chinese remainder theorem in the symmetric range, on the first primes
+    whose product exceeds twice its own bound, gives D_r exactly, and D_r
+    over prod_{i<r} l_i is the minor.  An order the kernel lost to a row
+    swap is the determinant of its own leading block.  An entry in any other
+    symbol raises ValueError.
     """
-    denom = 1
-    bound = 1
-    scaled_rows = []
+    orders = range(1, len(rows) + 1) if orders is None else orders
+    scales, norms, scaled_rows = [], [], []
     for row in rows:
         l = math.lcm(*(c.denominator for p in row for c in p.coeffs.values()))
         scaled = [[c.numerator * (l // c.denominator) for c in p.coeffs_in("beta")] for p in row]
-        norm = sum(abs(c) for e in scaled for c in e)
-        if not norm:
-            return GradedPoly.zero()
-        denom *= l
-        bound *= norm
+        scales.append(l)
+        norms.append(list(itertools.accumulate(sum(map(abs, e)) for e in scaled)))
         scaled_rows.append(scaled)
+    bounds = {r: math.prod(norms[i][r - 1] for i in range(r)) for r in orders}
     max_len = max(len(e) for row in scaled_rows for e in row)
-    primes = _crt_primes(2 * bound, len(scaled_rows), max_len)
+    primes = _crt_primes(2 * max(bounds.values(), default=0) or 1, len(rows), max_len)
     residues = det_mod_univariate(scaled_rows, primes)
-    return poly_from_coeffs(Fraction(c, denom) for c in _crt_symmetric(residues, primes))
+    products = list(itertools.accumulate(primes, operator.mul))
+    out = []
+    for r in orders:
+        used = bisect.bisect_right(products, 2 * bounds[r]) + 1
+        minor = [res[r - 1] for res in residues[:used]]
+        if None in minor:
+            out.append(det_interpolate([row[:r] for row in rows[:r]], [r])[0])
+        else:
+            denom = math.prod(scales[:r])
+            coeffs = _crt_symmetric(minor, primes[:used])
+            out.append(poly_from_coeffs(Fraction(c, denom) for c in coeffs))
+    return out
 
 
 def _crt_primes(bound: int, n: int, max_len: int) -> list[int]:
@@ -532,8 +547,11 @@ def _trim_block(a):
 
 
 def det_mod_univariate(coeff_rows: list[list[list[int]]], primes: Sequence[int]) -> list[list[int]]:
-    """Determinant over F_p[x] of a matrix given as coefficient lists, one
-    coefficient list per prime p of the sequence primes.
+    """Leading principal minors over F_p[x], orders 1..n (the last is the
+    determinant), of a matrix given as coefficient lists, one list of them
+    per prime p of the sequence primes.  The first zero pivot is the swap
+    cut: its order's minor is 0, and every later order but the last is None,
+    since past a row swap the pivots are minors of the swapped matrix.
 
     Each stack of primes (_STACK_BYTES) runs one Bareiss on the whole active
     block a: entry (i, j) becomes (piv a[i, j] + (-a[i, 0] mod p) a[0, j]) /
@@ -575,6 +593,7 @@ def _det_stack(coeff_rows: list[list[list[int]]], primes: list[int], max_len: in
     for k, q in enumerate(primes):  # one prime's residues alive at a time
         a[k].reshape(n * n, max_len)[filled] = [c % q for row in coeff_rows for e in row for c in e]
     sign, prev = 1, None  # the first step divides by 1
+    minors, cut = [], False  # each step's pivot, up to the first row swap
     for m in range(n - 1, 0, -1):
         live = (a[:, :, 0] != 0).any(axis=-1)
         if len(primes) > 1:
@@ -585,6 +604,9 @@ def _det_stack(coeff_rows: list[list[list[int]]], primes: list[int], max_len: in
             if any((k != k[0]).any() for k in key):
                 return [d for q in primes for d in _det_stack(coeff_rows, [q], max_len)]
         if not live[0, 0]:
+            if not cut:  # this order's leading minor is 0; the later ones go missing
+                minors.append(a[:, 0, 0, :0])
+                cut = True
             if not live[0].any():
                 a = a[:, :1, :1, :0]  # a zero first column: every determinant is 0
                 break
@@ -592,6 +614,8 @@ def _det_stack(coeff_rows: list[list[list[int]]], primes: list[int], max_len: in
             a[:, [0, i]] = a[:, [i, 0]]
             sign = -sign
         piv = _trim_block(a[:, 0, 0]).copy()  # a copy, so prev does not keep `a`
+        if not cut:
+            minors.append(piv)
         negc = _trim_block(np.where(a[:, 1:, 0], p4[..., 0] - a[:, 1:, 0], 0))
         num_len = a.shape[-1] + max(piv.shape[-1], negc.shape[-1]) - 1
         if prev is not None:
@@ -624,8 +648,12 @@ def _det_stack(coeff_rows: list[list[list[int]]], primes: list[int], max_len: in
                     out[qs, i0 : i0 + rb] = q
                 del q
         a, prev = _trim_block(out), piv
-    dets = [_trim_block(a[i, 0, 0]).tolist() for i in range(len(primes))]
-    return [[int(sign * c) % q for c in d] or [0] for d, q in zip(dets, primes)]
+    minors += [None] * (n - 1 - len(minors))
+    return [
+        [None if x is None else [int(c) for c in _trim_block(x[i]).tolist()] or [0] for x in minors]
+        + [[int(sign * c) % q for c in _trim_block(a[i, 0, 0]).tolist()] or [0]]
+        for i, q in enumerate(primes)
+    ]
 
 
 def root_multiplicity(p: GradedPoly, root: Fraction | int) -> int:

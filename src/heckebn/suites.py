@@ -16,6 +16,7 @@ from .giambelli import (
     degree_check,
     lemma37_bound,
     multiplicity_profile,
+    pk_beta,
     pk_eval,
 )
 from .hecke import lemma41_scan, rational_certificate, thaddeus_number
@@ -93,6 +94,7 @@ def _suite_thm61() -> list[SuiteCheck]:
 def _suite_lemma37() -> list[SuiteCheck]:
     """Proven multiplicity bounds at beta = 1/i^2 and the degree bound."""
     out = []
+    pk_beta(20)  # one kernel run for every k of the walk
     for k in range(2, 21):
         profile = dict(multiplicity_profile(k))
         for i, mult in profile.items():
@@ -113,6 +115,7 @@ def _suite_lemma37() -> list[SuiteCheck]:
 def _suite_conjecture() -> list[SuiteCheck]:
     """Conjectured multiplicities and exact degree equality, k <= 20."""
     out = []
+    pk_beta(20)  # one kernel run for every k of the walk
     for k in range(2, 21):
         profile = dict(multiplicity_profile(k))
         for i, mult in profile.items():

@@ -411,3 +411,97 @@ def lemma35_check(k: int, p: int) -> bool:
             f"P_{k}(1,4,0) mod {p}: determinant gives {residue}, closed form {pred_residue}"
         )
     return residue != 0
+
+
+# Reference kernel: per-coefficient Bareiss over F_p[x] on Python lists, with
+# long division from the leading coefficient.  It shares no code with
+# poly.det_mod_univariate, which runs each pivot step as Toeplitz products
+# and divides by an x-adic series inverse.
+
+
+def _ref_trim(v: list[int]) -> list[int]:
+    v = list(v)
+    while v and not v[-1]:
+        v.pop()
+    return v
+
+
+def _ref_mul(a: list[int], b: list[int], p: int) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+def _ref_sub(a: list[int], b: list[int], p: int) -> list[int]:
+    out = [0] * max(len(a), len(b))
+    for i, x in enumerate(a):
+        out[i] = x
+    for i, y in enumerate(b):
+        out[i] = (out[i] - y) % p
+    return _ref_trim(out)
+
+
+def _ref_divexact(num: list[int], den: list[int], p: int) -> list[int]:
+    num = _ref_trim(num)
+    den = _ref_trim(den)
+    if not den:
+        raise ZeroDivisionError("division by zero polynomial")
+    if not num:
+        return num
+    dn = len(den) - 1
+    qd = len(num) - 1 - dn
+    if qd < 0:
+        raise ArithmeticError("inexact modular polynomial division")
+    inv_lead = pow(den[-1], -1, p)
+    rem = list(num)
+    q = [0] * (qd + 1)
+    for t in range(qd, -1, -1):
+        c = rem[t + dn] * inv_lead % p
+        q[t] = c
+        if c:
+            for i, d in enumerate(den):
+                rem[t + i] = (rem[t + i] - c * d) % p
+    if any(rem):
+        raise ArithmeticError("inexact modular polynomial division")
+    return q
+
+
+def ref_det_mod(coeff_rows: list[list[list[int]]], p: int) -> list[int]:
+    n = len(coeff_rows)
+    a = [[_ref_trim([c % p for c in e]) for e in row] for row in coeff_rows]
+    sign = 1
+    prev = [1]
+    for r in range(n - 1):
+        if not a[r][r]:
+            for i in range(r + 1, n):
+                if a[i][r]:
+                    a[r], a[i] = a[i], a[r]
+                    sign = -sign
+                    break
+            else:
+                return [0]
+        for i in range(r + 1, n):
+            for j in range(r + 1, n):
+                num = _ref_sub(
+                    _ref_mul(a[r][r], a[i][j], p), _ref_mul(a[i][r], a[r][j], p), p
+                )
+                a[i][j] = _ref_divexact(num, prev, p)
+            a[i][r] = []
+        prev = a[r][r]
+    out = [c if sign > 0 else (-c) % p for c in a[n - 1][n - 1]]
+    return out if out else [0]
+
+
+def giambelli_rows_by_k(k: int, c: list, zero) -> list[list]:
+    """The k x k Giambelli matrix in its textbook layout, entry(i, j) =
+    c[k - 2i + j] (0-based): giambelli_rows with its rows and its columns
+    each in the opposite order, so the same determinant."""
+    return [
+        [c[k - 2 * i + j] if k - 2 * i + j >= 0 else zero for j in range(k)]
+        for i in range(k)
+    ]

@@ -84,6 +84,7 @@ def test_criterion_03_small_default_primes_rejected():
 
 def test_criterion_04_multiplicities_and_degree():
     bad = []
+    pk_beta(20)  # one kernel run for every k of the walk
     for k in range(2, 21):
         profile = dict(multiplicity_profile(k))
         for i, mult in profile.items():

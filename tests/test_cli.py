@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from heckebn import suites
+from heckebn import giambelli, suites
 from heckebn.cli import main
 from heckebn.store import Store
 from heckebn.suites import SuiteCheck, SuiteReport
@@ -82,6 +82,20 @@ def test_mod_cert(capsys, isolated_cache):
     assert obj["witness_residue"] == "4"
     cert = Store(isolated_cache / "cache").get_certificate("modular", 3, 11)
     assert cert is not None and cert.to_json_obj() == obj
+
+
+def test_mod_cert_above_the_float_bound_reads_the_stored_pk(capsys, isolated_cache, monkeypatch):
+    # above the kernel's float64 bound mj_mod reduces P_12(1, beta, 0) mod the
+    # prime; a second process on the same cache reads P_12 from the store
+    slices = []
+    pk_slice = giambelli._pk_slice
+    monkeypatch.setattr(giambelli, "_pk_slice", lambda *args: slices.append(args) or pk_slice(*args))
+    outs = []
+    for _ in range(2):
+        monkeypatch.setattr(giambelli, "_MEMO", {})  # as in a fresh process
+        outs.append(run_cli(capsys, "mod-cert", "--k", "12", "--prime", "33554467"))
+    assert len(slices) == 1
+    assert outs[0] == outs[1] and outs[0][0] == 0
 
 
 def test_mod_cert_inapplicable(capsys):

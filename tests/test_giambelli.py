@@ -22,14 +22,17 @@ from heckebn.giambelli import (
     pk_eval,
     pk_full,
 )
-from heckebn.chern import chern_full, chern_tilde
-from heckebn.poly import BETA, GAMMA, H, GradedPoly
+from heckebn.chern import _chern_sequence, chern_full, chern_tilde, tilde_mod_coeffs
+from heckebn.numbers import next_prime
+from heckebn.poly import BETA, GAMMA, H, GradedPoly, det_numeric
 from oracles import (
     Partition,
     evaluate,
+    giambelli_rows_by_k,
     is_homogeneous,
     lemma35_check,
     power,
+    ref_det_mod,
     schur_dim,
     substitute,
 )
@@ -40,20 +43,39 @@ def test_matrix_layout():
     full = [chern_full(n) for n in range(4)]
     assert giambelli_rows(1, full, zero) == [[chern_full(1)]]
     assert giambelli_rows(2, full, zero) == [
-        [chern_full(2), chern_full(3)],
-        [chern_full(0), chern_full(1)],
+        [chern_full(1), chern_full(0)],
+        [chern_full(3), chern_full(2)],
     ]
     tilde = [chern_tilde(n) for n in range(14)]
-    m3 = giambelli_rows(3, tilde, zero)
-    assert m3[0] == [chern_tilde(3), chern_tilde(4), chern_tilde(5)]
-    assert m3[2] == [zero, GradedPoly.constant(2), GradedPoly.one()]
-    # bottom row is (0, ..., 0, 2, 1) for every k >= 2
     for k in (2, 4, 7):
-        bottom = giambelli_rows(k, tilde, zero)[-1]
-        assert bottom[:-2] == [zero] * (k - 2)
-        assert bottom[-2:] == [GradedPoly.constant(2), GradedPoly.one()]
+        rows = giambelli_rows(k, tilde, zero)
+        # first row (c_1, 2, 0, ..., 0), last row (c_{2k-1}, ..., c_k)
+        assert rows[0] == [GradedPoly.one(), GradedPoly.constant(2)] + [zero] * (k - 2)
+        assert rows[-1] == [chern_tilde(2 * k - 1 - j) for j in range(k)]
+        # the leading k' x k' block is the matrix of P_k'
+        for kp in range(1, k + 1):
+            assert [row[:kp] for row in rows[:kp]] == giambelli_rows(kp, tilde, zero)
     with pytest.raises(ValueError):
         giambelli_rows(0, tilde, zero)
+
+
+def test_layout_keeps_the_textbook_determinant():
+    # the same permutation reverses rows and columns: over F_g on the scaled
+    # Chern entries of mj_mod, and at rational points
+    rng = random.Random(2013)
+    for k in range(1, 13):
+        for g in (next_prime(2 * k + 1), 1009):
+            hat = [[c * (g - 1) % g for c in row] for row in tilde_mod_coeffs(2 * k - 1, g)]
+            assert ref_det_mod(giambelli_rows(k, hat, [0]), g) == ref_det_mod(
+                giambelli_rows_by_k(k, hat, [0]), g
+            ), (k, g)
+        for _ in range(3):
+            pt = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3)]
+            c = _chern_sequence([Fraction(1)], 2 * k - 1, *pt)
+            c[0] = Fraction(2)
+            assert det_numeric(giambelli_rows(k, c, Fraction(0))) == det_numeric(
+                giambelli_rows_by_k(k, c, Fraction(0))
+            ), (k, pt)
 
 
 def test_pk_full_small():

@@ -19,6 +19,7 @@ from fractions import Fraction
 
 import pytest
 
+from heckebn import giambelli, poly
 from heckebn.certificates import admissible_prime
 from heckebn.giambelli import pk_beta, pk_eval, pk_full
 from heckebn.hecke import candidate_monomials, pair_with_monomial, rational_certificate
@@ -146,27 +147,39 @@ def test_mj_residue_digests():
     assert got == MJ_DIGESTS
 
 
-def test_pk_beta_coefficient_digest():
-    # ascending beta-coefficients of P_k(1, beta, 0), k = 1..12, as "num/den"
-    rows = [
+# sha256 of the ascending beta-coefficients of P_k(1, beta, 0), as "num/den",
+# over a range of k
+PK_BETA_DIGESTS = {
+    (1, 12): "7d252628c35e6d7845df79de143e0fe35b947f2d49ff082d33a8a2f187361323",
+    (13, 20): "80d8c53e21ef8264d284e042091fb9eb4e264c7d70ee63a70a16da29c8a4b8b4",
+}
+
+
+def _pk_beta_rows(lo: int, hi: int) -> list[list[str]]:
+    return [
         [format_rational(c) for c in pk_beta(k).polynomial.coeffs_in("beta")]
-        for k in range(1, 13)
+        for k in range(lo, hi + 1)
     ]
+
+
+def test_pk_beta_coefficient_digest():
+    rows = _pk_beta_rows(1, 12)
     assert rows[2] == ["1/360", "-1/72", "1/90"]
-    assert sha256(json.dumps(rows)) == (
-        "7d252628c35e6d7845df79de143e0fe35b947f2d49ff082d33a8a2f187361323"
-    )
+    assert sha256(json.dumps(rows)) == PK_BETA_DIGESTS[1, 12]
 
 
 def test_pk_beta_coefficient_digest_large_k():
-    # the same rows for k = 13..20
-    rows = [
-        [format_rational(c) for c in pk_beta(k).polynomial.coeffs_in("beta")]
-        for k in range(13, 21)
-    ]
-    assert sha256(json.dumps(rows)) == (
-        "80d8c53e21ef8264d284e042091fb9eb4e264c7d70ee63a70a16da29c8a4b8b4"
-    )
+    assert sha256(json.dumps(_pk_beta_rows(13, 20))) == PK_BETA_DIGESTS[13, 20]
+
+
+def test_pk_beta_fills_the_memo_below_k(monkeypatch):
+    # P_20's kernel run holds every P_k, k < 20, as a leading minor
+    monkeypatch.setattr(giambelli, "_MEMO", {})
+    pk_beta(20)
+    runs = []
+    monkeypatch.setattr(poly, "det_mod_univariate", lambda *args: runs.append(args))
+    got = {r: sha256(json.dumps(_pk_beta_rows(*r))) for r in PK_BETA_DIGESTS}
+    assert got == PK_BETA_DIGESTS and runs == []
 
 
 def test_pk_beta_algorithm_strings():

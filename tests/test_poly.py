@@ -31,6 +31,10 @@ from heckebn.poly import (
     root_multiplicity,
 )
 from oracles import (
+    _ref_divexact,
+    _ref_mul,
+    _ref_sub,
+    _ref_trim,
     det_bareiss,
     det_by_nodes,
     evaluate,
@@ -39,6 +43,7 @@ from oracles import (
     is_homogeneous,
     power,
     reduce_mod,
+    ref_det_mod,
     substitute,
 )
 
@@ -126,13 +131,13 @@ def _rows(rows) -> list[list[GradedPoly]]:
 
 
 def test_det_small_examples():
-    assert det_interpolate(_rows([[1]])) == 1
+    assert det_interpolate(_rows([[1]])) == [1]
     assert det_numeric([[1]]) == 1
     m = _rows([[BETA, 1], [4, BETA]])
-    assert det_interpolate(m) == power(BETA, 2) - 4
+    assert det_interpolate(m) == [BETA, power(BETA, 2) - 4]
     # row swap flips the sign
     m2 = _rows([[4, BETA], [BETA, 1]])
-    assert det_interpolate(m2) == -(power(BETA, 2) - 4)
+    assert det_interpolate(m2)[-1] == -(power(BETA, 2) - 4)
     assert det_minor_expansion(m2) == det_bareiss(m2) == -(power(BETA, 2) - 4)
 
 
@@ -160,7 +165,7 @@ def test_det_engines_agree_univariate():
             [poly_from_coeffs([rng.randint(-3, 3) for _ in range(3)]) for _ in range(4)]
             for _ in range(4)
         ]
-        assert det_interpolate(m) == det_minor_expansion(m) == det_bareiss(m)
+        assert det_interpolate(m)[-1] == det_minor_expansion(m) == det_bareiss(m)
 
 
 # Reference interpolation: Newton's divided differences on Fractions.  It
@@ -218,7 +223,7 @@ def rational_univariate_matrices(draw):
 def test_det_interpolate_matches_reference(m):
     # the multimodular engine against the node-by-node engine it replaced and
     # against Laplace expansion
-    got = det_interpolate(m)
+    got = det_interpolate(m)[-1]
     assert got == det_by_nodes(m) == det_minor_expansion(m)
 
 
@@ -261,88 +266,9 @@ def test_json_round_trip_property(p):
     assert GradedPoly.from_json_obj(json.loads(json.dumps(p.to_json_obj()))) == p
 
 
-# Reference kernel: per-coefficient Bareiss over F_p[x] on Python lists, with
-# long division from the leading coefficient.  It shares no code with
-# poly.det_mod_univariate, which runs each pivot step as Toeplitz products
-# and divides by an x-adic series inverse.
-
-
-def _ref_trim(v: list[int]) -> list[int]:
-    v = list(v)
-    while v and not v[-1]:
-        v.pop()
-    return v
-
-
-def _ref_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return out
-
-
-def _ref_sub(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [0] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] = x
-    for i, y in enumerate(b):
-        out[i] = (out[i] - y) % p
-    return _ref_trim(out)
-
-
-def _ref_divexact(num: list[int], den: list[int], p: int) -> list[int]:
-    num = _ref_trim(num)
-    den = _ref_trim(den)
-    if not den:
-        raise ZeroDivisionError("division by zero polynomial")
-    if not num:
-        return num
-    dn = len(den) - 1
-    qd = len(num) - 1 - dn
-    if qd < 0:
-        raise ArithmeticError("inexact modular polynomial division")
-    inv_lead = pow(den[-1], -1, p)
-    rem = list(num)
-    q = [0] * (qd + 1)
-    for t in range(qd, -1, -1):
-        c = rem[t + dn] * inv_lead % p
-        q[t] = c
-        if c:
-            for i, d in enumerate(den):
-                rem[t + i] = (rem[t + i] - c * d) % p
-    if any(rem):
-        raise ArithmeticError("inexact modular polynomial division")
-    return q
-
-
-def ref_det_mod(coeff_rows: list[list[list[int]]], p: int) -> list[int]:
-    n = len(coeff_rows)
-    a = [[_ref_trim([c % p for c in e]) for e in row] for row in coeff_rows]
-    sign = 1
-    prev = [1]
-    for r in range(n - 1):
-        if not a[r][r]:
-            for i in range(r + 1, n):
-                if a[i][r]:
-                    a[r], a[i] = a[i], a[r]
-                    sign = -sign
-                    break
-            else:
-                return [0]
-        for i in range(r + 1, n):
-            for j in range(r + 1, n):
-                num = _ref_sub(
-                    _ref_mul(a[r][r], a[i][j], p), _ref_mul(a[i][r], a[r][j], p), p
-                )
-                a[i][j] = _ref_divexact(num, prev, p)
-            a[i][r] = []
-        prev = a[r][r]
-    out = [c if sign > 0 else (-c) % p for c in a[n - 1][n - 1]]
-    return out if out else [0]
+def _dets(rows, primes) -> list[list[int]]:
+    """det_mod_univariate's last order, the determinant, at each prime."""
+    return [minors[-1] for minors in det_mod_univariate(rows, primes)]
 
 
 def test_mj_mod_above_the_float_bound_matches_reference():
@@ -397,7 +323,7 @@ def mod_matrices(draw):
 @given(mod_matrices())
 def test_det_mod_matches_reference_kernels(case):
     p, rows = case
-    [got] = det_mod_univariate(rows, [p])
+    [got] = _dets(rows, [p])
     assert got == ref_det_mod(rows, p)
     assert _ref_trim(got) == _rational_det_mod(rows, p)
 
@@ -430,6 +356,58 @@ def test_det_mod_prime_batch_matches_single_primes(case):
     assert det_mod_univariate(rows, primes) == [det_mod_univariate(rows, [q])[0] for q in primes]
 
 
+@st.composite
+def giambelli_mod_cases(draw):
+    """Giambelli rows of a random small-integer sequence c, at a prime of
+    PRIMES or a random prime below the float64 bound; c_1 = 0 mod p cuts
+    the kernel's minors at order 1."""
+    n = draw(st.integers(1, 6))
+    c = [draw(st.lists(st.integers(-9, 9), max_size=3)) for _ in range(2 * n)]
+    p = draw(st.sampled_from(PRIMES) | st.integers(1010, poly._max_prime(n, 3)))
+    while not is_prime(p):
+        p -= 1
+    cut = draw(st.booleans())
+    if cut:
+        c[1] = [p * x for x in c[1]]
+    return p, giambelli_rows(n, c, []), cut
+
+
+@settings(max_examples=200, deadline=None)
+@given(giambelli_mod_cases())
+def test_det_mod_leading_minors_match_reference(case):
+    p, rows, cut = case
+    [minors] = det_mod_univariate(rows, [p])
+    assert len(minors) == len(rows) and minors[-1] is not None
+    for r, got in enumerate(minors, 1):
+        # an order is missing only past the first zero pivot
+        assert got is not None or [0] in minors[: r - 1]
+        if got is not None:
+            assert got == ref_det_mod([row[:r] for row in rows[:r]], p), r
+    if cut:
+        assert minors[0] == [0] and minors[1:-1] == [None] * (len(rows) - 2)
+
+
+@st.composite
+def giambelli_rational_cases(draw):
+    """Giambelli rows over Q of a random sequence c; c_1 = 0 makes every
+    prime of det_interpolate lose the orders between 1 and n."""
+    n = draw(st.integers(1, 5))
+    c = [poly_from_coeffs(draw(st.lists(rationals, max_size=3))) for _ in range(2 * n)]
+    if draw(st.booleans()):
+        c[1] = GradedPoly.zero()
+    return giambelli_rows(n, c, GradedPoly.zero())
+
+
+@settings(max_examples=100, deadline=None)
+@given(giambelli_rational_cases())
+def test_det_interpolate_minors_are_the_leading_blocks(rows):
+    got = det_interpolate(rows)
+    for r in range(1, len(rows) + 1):
+        block = [row[:r] for row in rows[:r]]
+        assert got[r - 1] == det_interpolate(block)[-1] == det_bareiss(block), r
+    assert det_interpolate(rows, [len(rows), 1]) == [got[-1], got[0]]
+
+
 def test_det_mod_batch_pivot_vanishing_mod_one_prime(monkeypatch):
     # entry (0, 0) is 7 (x + 1): 0 mod 7 only, so 7 alone needs a row swap in
     # the first step, and a stack holding 7 runs again prime by prime; 5 and
@@ -446,12 +424,12 @@ def test_det_mod_batch_pivot_vanishing_mod_one_prime(monkeypatch):
     for primes in ([5, 7, 101], [7, 5], [101, 7, 7, 1009], [5, 101]):
         want = [ref_det_mod(rows, q) for q in primes]
         runs.clear()
-        assert det_mod_univariate(rows, primes) == want
+        assert _dets(rows, primes) == want
         assert runs == [primes] + [[q] for q in primes]
-        assert [det_mod_univariate(rows, [q])[0] for q in primes] == want
+        assert [_dets(rows, [q])[0] for q in primes] == want
     runs.clear()
     primes = [101, 103, 1009]
-    assert det_mod_univariate(rows, primes) == [ref_det_mod(rows, q) for q in primes]
+    assert _dets(rows, primes) == [ref_det_mod(rows, q) for q in primes]
     assert runs == [primes]
     assert [[c % q for c in rows[0][0]] for q in (5, 7, 101)] == [[2, 2], [0, 0], [7, 7]]
 
@@ -485,12 +463,12 @@ def test_det_mod_block_splits_at_small_sizes(monkeypatch, chunk):
     for n in (3, 4, 5):
         rows = [[entry() for _ in range(n)] for _ in range(n)]
         blocks.clear()
-        assert det_mod_univariate(rows, [101]) == [ref_det_mod(rows, 101)]
+        assert _dets(rows, [101]) == [ref_det_mod(rows, 101)]
         # one block per row of every step that divides
         assert set(blocks) == {(1, 1)} and len(blocks) == (n - 1) * (n - 2) // 2
         primes = [101, 103, 107, 101]
         blocks.clear()
-        assert det_mod_univariate(rows, primes) == [ref_det_mod(rows, q) for q in primes]
+        assert _dets(rows, primes) == [ref_det_mod(rows, q) for q in primes]
         # one block per (prime, row) pair; a stack whose primes diverge runs
         # its steps again prime by prime
         assert set(blocks) == {(1, 1)}
@@ -604,7 +582,7 @@ def test_det_mod_rejects_a_wrong_series_inverse(monkeypatch):
     # _divexact multiplies back only the top of each quotient, so a wrong
     # low coefficient of the inverse must be caught where it is made
     rows = [[[3, 1], [1, 2], [0, 1]], [[2], [1, 1, 1], [4]], [[1, 5], [2], [1, 0, 3]]]
-    assert det_mod_univariate(rows, [101]) == [ref_det_mod(rows, 101)]
+    assert _dets(rows, [101]) == [ref_det_mod(rows, 101)]
     right = poly._series_inverse
 
     def off_by_one(f, width, p):
@@ -615,7 +593,7 @@ def test_det_mod_rejects_a_wrong_series_inverse(monkeypatch):
     monkeypatch.setattr(poly, "_series_inverse", off_by_one)
     for primes in ([101], [101, 103]):
         with pytest.raises(ArithmeticError, match="series inverse"):
-            det_mod_univariate(rows, primes)
+            _dets(rows, primes)
 
 
 def test_det_mod_quotients_shorter_than_prev():
@@ -624,7 +602,7 @@ def test_det_mod_quotients_shorter_than_prev():
     top = [[[0, 0, 0, 1], [1], []], [[1, 0, 0, 1], [1], []]]
     for last in ([[], [], []], [[], [], [1]], [[2], [], [1, 1]]):
         rows = top + [last]
-        assert det_mod_univariate(rows, [7]) == [ref_det_mod(rows, 7)]
+        assert _dets(rows, [7]) == [ref_det_mod(rows, 7)]
 
 
 def test_det_mod_dense_matches_minor():
@@ -636,7 +614,7 @@ def test_det_mod_dense_matches_minor():
                 for _ in range(3)
             ]
             minor = det_minor_expansion(_integer_matrix(rows)).coeffs_in("beta")
-            got = _ref_trim(det_mod_univariate(rows, [p])[0])
+            got = _ref_trim(_dets(rows, [p])[0])
             assert got == _ref_trim(reduce_mod(minor, p)) == _ref_trim(ref_det_mod(rows, p))
 
 
@@ -655,7 +633,7 @@ def test_det_mod_python_fallback_path():
                 [[p - rng.randint(1, 50) for _ in range(max_len)] for _ in range(n)]
                 for _ in range(n)
             ]
-            got = _ref_trim(det_mod_univariate(rows, [p])[0])
+            got = _ref_trim(_dets(rows, [p])[0])
             assert got == _rational_det_mod(rows, p) == _ref_trim(ref_det_mod(rows, p))
 
 
@@ -691,7 +669,7 @@ def test_det_mod_rejects_malformed_matrices():
         rows = [[[p - 1] * max_len for _ in range(n)] for _ in range(n)]
         for primes in ([p], [101, p]):
             with pytest.raises(ValueError, match="float64 bound"):
-                det_mod_univariate(rows, primes)
+                _dets(rows, primes)
 
 
 def test_det_numeric():
