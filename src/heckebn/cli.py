@@ -116,11 +116,12 @@ def _cmd_mod_cert(args) -> int:
 
 
 def _cmd_rational_cert(args) -> int:
-    witness = rational_certificate(args.g, args.k, budget=args.budget, store=Store())
+    store = Store()
+    witness = rational_certificate(args.g, args.k, budget=args.budget, store=store)
     if witness is None:
         _print_json({"status": "inconclusive", "g": args.g, "k": args.k})
         return 0
-    Store().put_certificate(witness.certificate)
+    store.put_certificate(witness.certificate)
     _print_json(witness.certificate.to_json_obj())
     return 0
 

@@ -14,8 +14,8 @@ with e = 3g - 3 - k(k+1)/2 >= 0.  Either one certifies that the class is
 nonzero at genus g.  Failure of all criteria proves nothing.  Where the
 theorem applies is decided by certificates.admissible_prime alone.
 
-Every matrix entry, including the constant last row (0, ..., 0, 2, 1), is
-scaled by the unit u = (g-1)! 2^{g-1} mod g, which is -1 by Wilson's theorem
+Every matrix entry, including the constant first row (c_1 u, 2u, 0, ..., 0),
+is scaled by the unit u = (g-1)! 2^{g-1} mod g, which is -1 by Wilson's theorem
 and Fermat's little theorem, so the determinant equals u^k P_k(1, beta, 0)
 mod g exactly, which is the defining expansion of the M_j.  A uniform unit
 rescale cannot change the vanishing of any M_j sum.

@@ -1,17 +1,13 @@
-"""Content-addressed cache for computed polynomials and certificates.
+"""Disk cache for computed polynomials and certificates, one file per key.
 
-Layout under the root directory:
-
-  <sha256>.json     one record per file, canonical JSON
-  refs/<key>        the sha256 of one logical key's record; the key
-                    ``cert:modular:8:53`` is the file ``cert@modular@8@53``
-
-Records are immutable: a blob's name is the hash of its bytes.  Each file is
+The key ``cert:modular:8:53`` is the file ``cert@modular@8@53`` in the root
+directory.  It holds the 64 lowercase hex digits of the sha256 of the
+record's canonical JSON, a newline, then those JSON bytes.  Each file is
 written through a temp file and os.replace, so readers never see a partial
-file and writers of different keys never share one.  A ref counts only if it
-is 64 lowercase hex digits naming a blob whose bytes hash to it and whose
-record is for that key.  Records of another tool version, and an
-``index.json`` of earlier versions, are ignored.
+file and writers of different keys never share one.  A file counts only if
+its bytes hash to its header and its record is for that key and this tool
+version.  Earlier layouts (digest-named blobs, ``refs/``, ``index.json``) use
+other names, so a cache left by them reads as empty and refills.
 """
 
 from __future__ import annotations
@@ -19,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import re
 import tempfile
 from pathlib import Path
 
@@ -29,8 +24,6 @@ from .giambelli import PkRecord
 
 __all__ = ["Store", "default_cache_dir"]
 
-_DIGEST = re.compile(rb"[0-9a-f]{64}")
-
 
 def default_cache_dir() -> Path:
     env = os.environ.get("HECKE_CACHE_DIR")
@@ -38,12 +31,11 @@ def default_cache_dir() -> Path:
 
 
 class Store:
-    """Disk cache keyed by record identity, addressed by content hash."""
+    """Disk cache keyed by record identity, each file checked by its sha256."""
 
     def __init__(self, root: str | os.PathLike | None = None):
         self.root = Path(root) if root is not None else default_cache_dir()
-        self._refs = self.root / "refs"
-        self._refs.mkdir(parents=True, exist_ok=True)
+        self.root.mkdir(parents=True, exist_ok=True)
 
     def _write_atomic(self, path: Path, data: bytes) -> None:
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
@@ -58,36 +50,34 @@ class Store:
                 pass
             raise
 
-    def _ref_path(self, key: str) -> Path:
-        return self._refs / key.replace(":", "@")
+    def _path(self, key: str) -> Path:
+        return self.root / key.replace(":", "@")
 
-    def _read_ref(self, ref: Path) -> str | None:
+    @staticmethod
+    def _read(path: Path) -> bytes:
         try:
-            data = ref.read_bytes()
+            return path.read_bytes()
         except FileNotFoundError:
-            return None
-        # anything but a bare digest could name a path outside the store
-        return data.decode("ascii") if _DIGEST.fullmatch(data) else None
+            return b""
 
     def _put_obj(self, key: str, obj: dict) -> str:
-        data = canonical_json_bytes(obj)
-        digest = hashlib.sha256(data).hexdigest()
-        blob = self.path_for(digest)
-        if not blob.exists():
-            self._write_atomic(blob, data)
-        ref = self._ref_path(key)
-        if self._read_ref(ref) != digest:
-            self._write_atomic(ref, digest.encode("ascii"))
+        body = canonical_json_bytes(obj)
+        digest = hashlib.sha256(body).hexdigest()
+        data = digest.encode("ascii") + b"\n" + body
+        path = self._path(key)
+        if self._read(path) != data:
+            self._write_atomic(path, data)
         return digest
 
     def _get_obj(self, key: str) -> dict | None:
-        digest = self._read_ref(self._ref_path(key))
-        if digest is None:
+        data = self._read(self._path(key))
+        body = data[65:]
+        # the digest is checked before a byte of the record is parsed
+        if data[:65] != hashlib.sha256(body).hexdigest().encode("ascii") + b"\n":
             return None
         try:
-            data = self.path_for(digest).read_bytes()
-            obj = json.loads(data) if hashlib.sha256(data).hexdigest() == digest else None
-        except (FileNotFoundError, ValueError):
+            obj = json.loads(body)
+        except ValueError:
             return None
         return obj if isinstance(obj, dict) else None
 
@@ -130,6 +120,3 @@ class Store:
         if cert.generated_by != tool_stamp() or (cert.kind, cert.k, cert.g0) != (kind, k, g0):
             return None
         return cert
-
-    def path_for(self, digest: str) -> Path:
-        return self.root / f"{digest}.json"

@@ -91,45 +91,40 @@ def _suite_thm61() -> list[SuiteCheck]:
     return out
 
 
-def _suite_lemma37() -> list[SuiteCheck]:
-    """Proven multiplicity bounds at beta = 1/i^2 and the degree bound."""
+def _pk_beta_walk(bound, bound_name, degree_ok, degree_fail) -> list[SuiteCheck]:
+    """Multiplicity at beta = 1/i^2 >= bound(k, i) where that is positive, and
+    degree_ok(degree_check(k)), for 2 <= k <= 20."""
     out = []
     pk_beta(20)  # one kernel run for every k of the walk
     for k in range(2, 21):
-        profile = dict(multiplicity_profile(k))
-        for i, mult in profile.items():
-            want = lemma37_bound(k, i)
+        for i, mult in multiplicity_profile(k):
+            want = bound(k, i)
             if want > 0:
                 out.append(_check(
                     f"k={k},i={i}", mult >= want,
-                    f"multiplicity {mult} below proven bound {want}",
+                    f"multiplicity {mult} below {bound_name} bound {want}",
                 ))
         report = degree_check(k)
         out.append(_check(
-            f"k={k},degree", report.within_bound,
-            f"degree {report.degree} exceeds bound {report.bound}",
+            f"k={k},degree", degree_ok(report),
+            f"degree {report.degree}{degree_fail} {report.bound}",
         ))
     return out
+
+
+def _suite_lemma37() -> list[SuiteCheck]:
+    """Proven multiplicity bounds at beta = 1/i^2 and the degree bound."""
+    return _pk_beta_walk(
+        lemma37_bound, "proven", lambda r: r.within_bound, " exceeds bound"
+    )
 
 
 def _suite_conjecture() -> list[SuiteCheck]:
     """Conjectured multiplicities and exact degree equality, k <= 20."""
-    out = []
-    pk_beta(20)  # one kernel run for every k of the walk
-    for k in range(2, 21):
-        profile = dict(multiplicity_profile(k))
-        for i, mult in profile.items():
-            want = conjecture_bound(k, i)
-            out.append(_check(
-                f"k={k},i={i}", mult >= want,
-                f"multiplicity {mult} below conjectured bound {want}",
-            ))
-        report = degree_check(k)
-        out.append(_check(
-            f"k={k},degree", report.equality,
-            f"degree {report.degree}, expected exactly {report.bound}",
-        ))
-    return out
+    # conjecture_bound(k, i) >= 1 for every 1 <= i <= k - 1, so no case is skipped
+    return _pk_beta_walk(
+        conjecture_bound, "conjectured", lambda r: r.equality, ", expected exactly"
+    )
 
 
 def _suite_lemma41() -> list[SuiteCheck]:

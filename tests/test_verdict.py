@@ -184,30 +184,31 @@ def test_store_round_trip(tmp_path):
     back = store.get_certificate("modular", 10, cert.g0)
     assert back == cert
     assert store.get_certificate("modular", 10, 9973) is None
-    blob = store.path_for(digest)
-    assert blob.exists()
+    path = tmp_path / f"cert@modular@10@{cert.g0}"
+    assert path.read_bytes() == digest.encode() + b"\n" + canonical_json_bytes(cert.to_json_obj())
     rec = pk_beta(4, store=store)
     again = store.get_pk_record(4, "beta")
     assert again is not None and again.polynomial == rec.polynomial
+    # one file per key: no refs/ directory and no digest-named blob
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name, "pk@beta@4"]
 
 
 def test_store_rejects_corruption(tmp_path):
     store = Store(tmp_path)
     cert = certify_mod(11)
-    digest = store.put_certificate(cert)
-    blob = store.path_for(digest)
-    obj = json.loads(blob.read_text())
+    store.put_certificate(cert)
+    path = tmp_path / f"cert@modular@11@{cert.g0}"
+    header, body = path.read_bytes().split(b"\n", 1)
+    obj = json.loads(body)
     obj["witness_residue"] = "1"
-    blob.write_text(json.dumps(obj))
+    path.write_bytes(header + b"\n" + json.dumps(obj).encode())
     assert store.get_certificate("modular", 11, cert.g0) is None
 
 
-def _put_by_hand(store: Store, ref: str, obj) -> None:
-    """Write obj as a blob whose sha256 checks out, and the ref naming it."""
+def _put_by_hand(store: Store, name: str, obj) -> None:
+    """Write obj as the file name under a header whose sha256 checks out."""
     data = canonical_json_bytes(obj)
-    digest = hashlib.sha256(data).hexdigest()
-    store.path_for(digest).write_bytes(data)
-    (store.root / "refs" / ref).write_text(digest)
+    (store.root / name).write_bytes(hashlib.sha256(data).hexdigest().encode() + b"\n" + data)
 
 
 @pytest.mark.parametrize("bad", [5, None, [1]], ids=["int", "null", "list"])
@@ -318,22 +319,38 @@ def test_store_rejects_unit_other_than_g0_minus_one(tmp_path, bad):
     assert store.get_certificate("modular", 17, 53) is None
 
 
-def test_store_rejects_corrupt_ref(tmp_path):
-    store = Store(tmp_path / "store")
+def test_store_rejects_corrupt_header(tmp_path):
+    store = Store(tmp_path)
     cert, other = certify_mod(11), certify_mod(12)
     digest = store.put_certificate(cert)
     other_digest = store.put_certificate(other)
-    ref = store.root / "refs" / f"cert@modular@11@{cert.g0}"
-    assert ref.read_text() == digest
-    # "../x" would reach a directory outside the store, which cannot be read;
-    # other_digest names a sound record, but of another key
-    (tmp_path / "x.json").mkdir()
+    path = tmp_path / f"cert@modular@11@{cert.g0}"
+    sound = path.read_bytes()
+    header, body = sound.split(b"\n", 1)
+    assert header == digest.encode()
+    # no path is ever read from a file, so "../x" is just a wrong header
     for content in ["not a digest", digest.upper(), digest + "\n", "0" * 64,
                     other_digest, "../x", "../store/" + digest]:
-        ref.write_text(content)
+        path.write_bytes(content.encode() + b"\n" + body)
         assert store.get_certificate("modular", 11, cert.g0) is None, content
-    ref.write_text(digest)
+    # a sound file, but of another key
+    path.write_bytes((tmp_path / f"cert@modular@12@{other.g0}").read_bytes())
+    assert store.get_certificate("modular", 11, cert.g0) is None
+    path.write_bytes(sound)
     assert store.get_certificate("modular", 11, cert.g0) == cert
+
+
+def test_store_put_repairs_corrupt_file(tmp_path):
+    store = Store(tmp_path)
+    cert = certify_mod(10)
+    store.put_certificate(cert)
+    path = tmp_path / f"cert@modular@10@{cert.g0}"
+    sound = path.read_bytes()
+    path.write_bytes(sound[:-1])
+    assert store.get_certificate("modular", 10, cert.g0) is None
+    store.put_certificate(cert)
+    assert path.read_bytes() == sound
+    assert store.get_certificate("modular", 10, cert.g0) == cert
 
 
 def test_store_put_replaces_record_of_same_key(tmp_path):
@@ -345,12 +362,18 @@ def test_store_put_replaces_record_of_same_key(tmp_path):
     assert store.get_certificate("modular", 10, cert.g0) == cert
 
 
-def test_store_ignores_legacy_index(tmp_path):
+def test_store_ignores_earlier_layouts(tmp_path):
+    # a sound record in the blob-and-ref layout (<sha256>.json, and
+    # refs/<key> holding that digest) and in an earlier index.json
     store = Store(tmp_path)
     cert = certify_mod(10)
-    digest = store.put_certificate(cert)
-    (store.root / "refs" / f"cert@modular@10@{cert.g0}").unlink()
-    (tmp_path / "index.json").write_text(json.dumps({f"cert:modular:10:{cert.g0}": digest}))
+    key = f"cert:modular:10:{cert.g0}"
+    data = canonical_json_bytes(cert.to_json_obj())
+    digest = hashlib.sha256(data).hexdigest()
+    (tmp_path / f"{digest}.json").write_bytes(data)
+    (tmp_path / "refs").mkdir()
+    (tmp_path / "refs" / key.replace(":", "@")).write_text(digest)
+    (tmp_path / "index.json").write_text(json.dumps({key: digest}))
     assert store.get_certificate("modular", 10, cert.g0) is None
     assert store.put_certificate(cert) == digest
     assert store.get_certificate("modular", 10, cert.g0) == cert
@@ -413,12 +436,13 @@ def test_certificate_and_store_round_trip(cert, pos, flip):
     assert Certificate.from_json_obj(cert.to_json_obj()) == cert
     with tempfile.TemporaryDirectory() as root:
         store = Store(root)
-        digest = store.put_certificate(cert)
+        store.put_certificate(cert)
         assert store.get_certificate(cert.kind, cert.k, cert.g0) == cert
-        blob = store.path_for(digest)
-        data = bytearray(blob.read_bytes())
+        # any byte of the one file, header included
+        path = store.root / f"cert@{cert.kind}@{cert.k}@{cert.g0}"
+        data = bytearray(path.read_bytes())
         data[pos % len(data)] ^= flip
-        blob.write_bytes(bytes(data))
+        path.write_bytes(bytes(data))
         assert store.get_certificate(cert.kind, cert.k, cert.g0) is None
 
 
@@ -487,6 +511,20 @@ def test_emit_table_deterministic(tmp_path):
     a = emit_table("2..18", "1..8", store=Store(tmp_path / "one"))
     b = emit_table("2..18", "1..8", store=Store(tmp_path / "two"))
     assert a == b
+
+
+def test_warm_emit_table_writes_nothing(tmp_path):
+    # os.replace makes a new inode, which shows a rewrite within one
+    # timestamp tick
+    def snapshot():
+        return {p.name: (p.read_bytes(), p.stat().st_mtime_ns, p.stat().st_ino)
+                for p in tmp_path.iterdir()}
+
+    cold = emit_table("2..18", "1..8", store=Store(tmp_path))
+    before = snapshot()
+    assert any(name.startswith("cert@modular@") for name in before)
+    assert emit_table("2..18", "1..8", store=Store(tmp_path)) == cold
+    assert snapshot() == before
 
 
 def test_verdict_json_fields():
